@@ -3,17 +3,19 @@
 Microbenchmark for PR 8's headline claim: over a large stored population,
 ``FleetAggregator.top_kernels`` + ``aggregate_by_name`` served from the
 **fleet query index** (per-run columnar summaries + global name dictionary;
-no profile opened at all) must beat the **lazy-view** path (one frame table
-+ one metric column decoded per shard per run) by ≥10x — and return the
-*identical* floats, because the index rows are the same per-name Welford
-states the lazy path computes, folded in the same order.
+no profile opened at all) must beat the **fallback** path, which builds each
+run's summary from its lazy view (one frame table + every metric column
+decoded per shard per run), by ≥10x — and return the *identical* floats,
+because the index rows are the same per-name Welford states the view-built
+summaries hold, folded in the same order.
 
 The fixture is a store of 64 ingested runs (~26k stored nodes fleet-wide).
 Each trial builds a fresh aggregator, so both gears pay their real
-end-to-end cost: the lazy path opens 64 mmaps and decodes 64 frame tables +
-columns per query; the indexed path reads 64 small JSON summaries.  The
-parallel lazy decode (``max_workers=4``) is timed as well, for reference —
-it bounds what the fallback path can recover when the index is absent.
+end-to-end cost: the fallback path opens 64 mmaps and decodes 64 frame
+tables + columns to summarise every run; the indexed path reads 64 small
+JSON summaries.  The parallel summary build (``max_workers=4``) is timed as
+well, for reference — it bounds what the fallback path can recover when the
+index is absent.
 
 Run standalone with::
 

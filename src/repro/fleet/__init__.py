@@ -2,7 +2,7 @@
 
 This package scales the single-run profiler into a fleet tool: a
 content-addressed :class:`ProfileStore` catalogs many runs' sealed profiles,
-a :class:`FleetAggregator` answers fleet-wide queries from lazy column sums
+a :class:`FleetAggregator` answers fleet-wide queries from per-run summaries
 (or materializes the fleet CCT when structure is needed), and a
 :class:`DifferentialProfile` aligns two runs — or two run populations — on
 calling contexts to rank regressions.  The analyzer's ``RegressionAnalysis``

@@ -1,21 +1,19 @@
 """Cross-run fleet aggregation over stored profiles.
 
 A :class:`FleetAggregator` answers "across these N runs, where does the time
-go?" in three gears, fastest first:
+go?" in two gears:
 
-* **index rows** — for runs carrying a valid fleet-index summary (see
-  ``repro.fleet.index``), ``total_metric``, ``aggregate_by_name``,
-  ``top_kernels``, ``per_run_totals`` and ``name_states`` are pure dict
-  arithmetic over catalog-side columnar aggregates: *no profile is opened at
-  all*.  Indexed answers are bit-for-bit equal to the lazy-view path — the
-  index rows are the per-name Welford states
-  ``LazyProfileView.column_name_states`` computes, whose ``sum`` fields
-  follow the exact accumulation recurrence of the column fast path;
-* **lazy column sums** — runs without a usable summary answer through their
-  mmap-backed ``LazyProfileView``: one frame table plus one metric column
-  per shard is decoded and nothing is hydrated into a merged tree.  With
-  ``max_workers > 1`` these per-run decodes run on a thread pool (zlib and
-  struct release the GIL);
+* **run summaries** — ``total_metric``, ``per_run_totals``,
+  ``aggregate_by_name``, ``name_states``, ``top_kernels`` and
+  ``metric_names`` are each one fold over every run's
+  :class:`~repro.fleet.index.RunSummary` (per-metric totals plus per-name
+  Welford states).  Runs carrying a valid fleet-index summary (see
+  ``repro.fleet.index``) answer without opening any profile; a run the index
+  misses has its summary built once from its mmap-backed
+  ``LazyProfileView`` on first query (``RunSummary.from_view`` — the same
+  pass ingest persists, so both sources give the same floats).  With
+  ``max_workers > 1`` those builds run on a thread pool (zlib and struct
+  release the GIL);
 * **the fleet CCT** — :meth:`merged_tree` unions every run's shards with
   ``CallingContextTree.merge_from`` (parallel Welford ``MetricSet.merge``
   per aligned context), in run order then shard order — the identical merge
@@ -24,9 +22,9 @@ go?" in three gears, fastest first:
   one profile that collected all N runs (the property the fleet test suite
   pins down).  Structure needs bytes, so this gear opens views on demand.
 
-Per-run query passes are memoized per ``(query, fingerprint)``: repeated
-``top_kernels(k=...)`` calls with different ``k`` reuse one aggregate pass,
-and the memo drops whenever an underlying view moves (live attach/refresh).
+Fold results are memoized per query shape: repeated ``top_kernels(k=...)``
+calls with different ``k`` reuse one ``aggregate_by_name`` fold, and the memo
+drops whenever a run is demoted or a live-attached view moves to a new seal.
 """
 
 from __future__ import annotations
@@ -66,14 +64,15 @@ class DegradedRun:
 
 
 class _RunSource:
-    """One healthy run: its catalog record, index summary and/or open view.
+    """One healthy run: its catalog record, summary and/or open view.
 
-    ``summary`` present → index-served (no I/O per query); otherwise the
-    ``view`` (opened eagerly for fallback runs, on demand for indexed runs
-    that a structural query touches) serves the lazy column paths.
+    ``summary`` either comes from the fleet index (``seal`` is None: no I/O
+    per query) or is built from ``view`` on first query (``seal`` is the
+    ``view.seal_end`` it was built at).  Fallback runs open their view
+    eagerly; index-served runs only when a structural query touches them.
     """
 
-    __slots__ = ("run_id", "record", "summary", "view")
+    __slots__ = ("run_id", "record", "summary", "view", "seal")
 
     def __init__(self, run_id: str, record: Optional["RunRecord"] = None,
                  summary: Optional[RunSummary] = None,
@@ -82,6 +81,14 @@ class _RunSource:
         self.record = record
         self.summary = summary
         self.view = view
+        self.seal: Optional[int] = None
+
+    def summarise(self) -> None:
+        """Build the summary from the open view, noting the seal it read."""
+        seal = self.view.seal_end
+        digest = self.record.digest if self.record is not None else ""
+        self.summary = RunSummary.from_view(self.run_id, digest, self.view)
+        self.seal = seal
 
 
 class FleetAggregator:
@@ -90,14 +97,14 @@ class FleetAggregator:
     **Graceful degradation**: a corrupt run never poisons a fleet answer and
     never turns one into an exception.  Runs already quarantined in the
     catalog are skipped at construction; a fallback run whose corruption
-    only surfaces lazily — a checksum failure on the first touch of a block
-    mid-query — is demoted on the spot: dropped from the healthy set,
-    quarantined back into the originating store (when known), and recorded
-    in :meth:`degradation_report`, while the query returns the aggregate
-    over every healthy run.  Index-served runs never read profile bytes, so
-    rot that postdates ingest cannot surface through them — detecting it is
-    ``ProfileStore.scrub``'s job (or pass ``use_index=False`` to force
-    byte-touching queries).
+    only surfaces lazily — a checksum failure in any metric's blocks while
+    its summary is first built — is demoted on the spot: dropped from the
+    healthy set, quarantined back into the originating store (when known),
+    and recorded in :meth:`degradation_report`, while the query returns the
+    aggregate over every healthy run.  Index-served runs never read profile
+    bytes, so rot that postdates ingest cannot surface through them —
+    detecting it is ``ProfileStore.scrub``'s job (or pass
+    ``use_index=False`` to build every summary from profile bytes).
     """
 
     def __init__(self, views: Mapping[str, LazyProfileView],
@@ -121,16 +128,9 @@ class FleetAggregator:
         self._index_problems: Dict[str, str] = {}
         self._requested = len(self._sources) + len(self._degraded)
         self._merged: Optional[CallingContextTree] = None
-        self._aggregate_cache: Dict = {}
-        self._total_cache: Dict[str, float] = {}
-        #: Memoized per-run passes, keyed ``(query, ...)`` — valid for the
-        #: stamped fingerprint only (cleared by ``_ensure_fresh``).
-        self._per_run_cache: Dict[Tuple, Dict[str, object]] = {}
-        #: How many per-run aggregate passes have actually run (each one
-        #: decodes or reads every run once) — observable, so tests can pin
-        #: that repeated queries reuse passes instead of re-scanning.
-        self.aggregate_passes = 0
-        self._fingerprint: Optional[tuple] = None
+        #: Fold results keyed by query shape; cleared on demotion or when a
+        #: live-attached view moves to a new seal.
+        self._memo: Dict[Tuple, object] = {}
 
     @classmethod
     def from_store(cls, store: "ProfileStore",
@@ -226,7 +226,7 @@ class FleetAggregator:
     def indexed_run_ids(self) -> List[str]:
         """Runs whose queries are served from index rows (no profile I/O)."""
         return [run_id for run_id, source in self._sources.items()
-                if source.summary is not None]
+                if source.summary is not None and source.seal is None]
 
     @property
     def opened_run_ids(self) -> List[str]:
@@ -244,22 +244,13 @@ class FleetAggregator:
         return view
 
     def metric_names(self) -> List[str]:
-        names: List[str] = []
-        for source in self._sources.values():
-            if source.summary is not None:
-                run_metrics = source.summary.metric_names()
-            elif source.view is not None:
-                run_metrics = source.view.metric_names()
-            else:  # pragma: no cover - index-served source always has summary
-                run_metrics = []
-            for metric in run_metrics:
-                if metric not in names:
-                    names.append(metric)
-        return names
+        return list(self._fold(("metrics",), lambda summaries: list(
+            dict.fromkeys(metric for summary in summaries
+                          for metric in summary.metric_names()))))
 
     @property
     def hydrated_run_ids(self) -> List[str]:
-        """Runs whose views were fully hydrated (lazy queries keep this empty)."""
+        """Runs whose views were fully hydrated (summary queries keep this empty)."""
         return [run_id for run_id, source in self._sources.items()
                 if source.view is not None and source.view.hydrated]
 
@@ -288,8 +279,9 @@ class FleetAggregator:
 
         The ``index`` section is informational: a run listed in its
         ``problems`` (a corrupt/stale/version-mismatched summary) still
-        answers every query — through the lazy view — it just lost the fast
-        path.  Only ``degraded_runs`` entries are missing from answers.
+        answers every query — from a summary built from its view — it just
+        lost the fast path.  Only ``degraded_runs`` entries are missing from
+        answers.
 
         ``counts`` is a stable flat rollup (every value an ``int`` except
         the per-stage dict) so dashboards and tests read sizes directly
@@ -339,9 +331,7 @@ class FleetAggregator:
                                              stage=stage)
         if TELEMETRY.enabled:
             TELEMETRY.count("fleet.degraded_runs")
-        self._aggregate_cache.clear()
-        self._total_cache.clear()
-        self._per_run_cache.clear()
+        self._memo.clear()
         self._merged = None
         if self._store is not None:
             try:
@@ -404,148 +394,84 @@ class FleetAggregator:
             self._demote(run_id, reason)
         return results
 
-    def _per_run(self, key: Tuple, index_value: Callable,
-                 view_compute: Callable) -> Dict[str, object]:
-        """One memoized per-run pass: index rows where valid, views otherwise.
+    def _summaries(self) -> List[RunSummary]:
+        """Every healthy run's summary, in run order.
 
-        ``index_value(summary)`` serves summary-backed runs (pure dict
-        reads); ``view_compute(view)`` serves the rest, demoting runs whose
-        blocks turn out corrupt.  The result — ``run id → per-run answer``
-        in run order — is memoized under ``key`` for the current
-        fingerprint, so every query shape that shares a pass (``top_kernels``
-        with any ``k``, ``total_metric`` + ``per_run_totals``) pays it once.
+        A run the index missed gets its summary built from its view (on the
+        ``_gather`` pool, so corrupt runs demote); a live-attached view that
+        moved to a new seal gets it rebuilt, which drops memoized folds and
+        the fleet CCT.
         """
-        cached = self._per_run_cache.get(key)
-        if cached is not None:
-            return cached
-        self.aggregate_passes += 1
-        results: Dict[str, object] = {}
-        lazy: List[Tuple[str, Callable]] = []
-        for source in self._sources.values():
-            if source.summary is not None:
-                results[source.run_id] = index_value(source.summary)
-            else:
-                results[source.run_id] = None  # placeholder keeps run order
-                lazy.append((source.run_id,
-                             (lambda view=source.view: view_compute(view))))
-        if TELEMETRY.enabled:
-            TELEMETRY.count("fleet.aggregate_passes")
-            if len(results) > len(lazy):
-                TELEMETRY.count("fleet.index_served",
-                                len(results) - len(lazy))
-            if lazy:
-                TELEMETRY.count("fleet.lazy_served", len(lazy))
-        if lazy:
-            gathered = self._gather(lazy)
-            for run_id, value in gathered.items():
-                results[run_id] = value
-            if len(gathered) < len(lazy):  # demotions: drop their placeholders
-                results = {run_id: value for run_id, value in results.items()
-                           if run_id in self._sources}
-        self._per_run_cache[key] = results
-        return results
-
-    # -- lazy column-sum queries --------------------------------------------------------
-
-    def _current_fingerprint(self) -> tuple:
-        return tuple(
-            (run_id, source.view.seal_end, source.view._generation_signature())
-            if source.view is not None
-            else (run_id, "index", source.summary.digest)
-            for run_id, source in self._sources.items())
-
-    def _ensure_fresh(self) -> None:
-        """Drop memoized results when any underlying view moved.
-
-        Store-backed views are immutable files, so this never fires for
-        them; but an aggregator may also hold live-attached views
-        (``LazyProfileView.attach`` + ``refresh``) or views whose hydrated
-        trees were mutated — their seal position / generation signatures are
-        the same invalidation keys the views use for their own caches.
-        Queries re-stamp the fingerprint *after* computing (``_stamp``), so
-        the decoding a query itself performs — which bumps shard
-        generations without changing any result — does not self-invalidate.
-        """
-        if self._current_fingerprint() != self._fingerprint:
-            self._aggregate_cache.clear()
-            self._total_cache.clear()
-            self._per_run_cache.clear()
+        moved = [source for source in self._sources.values()
+                 if source.seal is not None
+                 and source.seal != source.view.seal_end]
+        if moved:
+            for source in moved:
+                source.summary = source.seal = None
+            self._memo.clear()
             self._merged = None
+        missing = [source for source in self._sources.values()
+                   if source.summary is None]
+        if missing:
+            self._gather([(source.run_id, source.summarise)
+                          for source in missing])
+        return [source.summary for source in self._sources.values()]
 
-    def _stamp(self) -> None:
-        self._fingerprint = self._current_fingerprint()
+    def _fold(self, key: Tuple,
+              fold: Callable[[List[RunSummary]], object]) -> object:
+        """``fold`` over every healthy run's summary, memoized under ``key``."""
+        summaries = self._summaries()
+        if key not in self._memo:
+            if TELEMETRY.enabled:
+                built = sum(1 for source in self._sources.values()
+                            if source.seal is not None)
+                TELEMETRY.count("fleet.aggregate_passes")
+                if len(summaries) > built:
+                    TELEMETRY.count("fleet.index_served",
+                                    len(summaries) - built)
+                if built:
+                    TELEMETRY.count("fleet.lazy_served", built)
+            self._memo[key] = fold(summaries)
+        return self._memo[key]
 
     def total_metric(self, metric: str) -> float:
-        """Fleet-wide metric total: the sum of every run's column sums.
+        """Fleet-wide metric total: the sum of every run's metric total.
 
-        Index-served runs contribute the catalog-side total recorded at
-        ingest (the identical float the lazy path recomputes); a fallback
-        run whose column blocks fail verification is demoted (see
+        A fallback run whose blocks fail verification is demoted (see
         :meth:`degradation_report`) and the total covers the healthy rest.
         """
         with TELEMETRY.span("fleet.query.total_metric", metric=metric):
-            self._ensure_fresh()
-            cached = self._total_cache.get(metric)
-            if cached is not None:
-                return cached
-            per_run = self._per_run(
-                ("total", metric),
-                lambda summary: summary.totals.get(metric, 0.0),
-                lambda view: view.total_metric(metric))
-            total = float(sum(per_run.values()))
-            self._total_cache[metric] = total
-            self._stamp()
-            return total
+            return self._fold(("total", metric), lambda summaries: float(sum(
+                summary.totals.get(metric, 0.0) for summary in summaries)))
 
     def per_run_totals(self, metric: str) -> Dict[str, float]:
-        """``run id → metric total`` (the per-run breakdown of a fleet sum).
-
-        Shares its per-run pass with :meth:`total_metric` — asking for the
-        breakdown after the total (or vice versa) costs no second scan.
-        """
+        """``run id → metric total`` (the per-run breakdown of a fleet sum)."""
         with TELEMETRY.span("fleet.query.per_run_totals", metric=metric):
-            self._ensure_fresh()
-            per_run = self._per_run(
-                ("total", metric),
-                lambda summary: summary.totals.get(metric, 0.0),
-                lambda view: view.total_metric(metric))
-            self._stamp()
-            return {run_id: float(total)
-                    for run_id, total in per_run.items()}
+            return dict(self._fold(("per_run", metric), lambda summaries: {
+                summary.run_id: float(summary.totals.get(metric, 0.0))
+                for summary in summaries}))
 
     def aggregate_by_name(self, kind: Optional[FrameKind] = None,
                           metric: str = M.METRIC_GPU_TIME) -> Dict[str, float]:
-        """Fleet-wide bottom-up rollup: per-run aggregations summed by name.
+        """Fleet-wide bottom-up rollup: per-run name sums added by name.
 
-        Indexed runs answer from their summary rows (``name → sum`` in pure
-        dict reads); fallback runs answer through
-        ``LazyProfileView.column_aggregate_by_name`` — the metric column
-        walked against a names-only partial decode of the frame tables.  The
-        two sources produce identical floats (the index rows are computed by
-        the same accumulation recurrence at ingest), and per-run answers sum
-        name-wise in run order either way, so mixing them keeps the result
-        bit-for-bit equal to the all-lazy path.
+        Each run's rows are the ``sum`` fields of its summary states, which
+        equal the run's tree-path ``aggregate_by_name`` bit for bit; they add
+        name-wise in run order, so the answer does not depend on which runs
+        the index served.
         """
+        wanted = KIND_CODES[kind] if kind is not None else ALL_KINDS
+
+        def fold(summaries: List[RunSummary]) -> Dict[str, float]:
+            totals: Dict[str, float] = {}
+            for summary in summaries:
+                for name, value in summary.name_sums(metric, wanted).items():
+                    totals[name] = totals.get(name, 0.0) + value
+            return totals
+
         with TELEMETRY.span("fleet.query.aggregate_by_name", metric=metric,
                             kind=kind.name if kind is not None else ""):
-            self._ensure_fresh()
-            key = (kind, metric)
-            cached = self._aggregate_cache.get(key)
-            if cached is not None:
-                return dict(cached)
-            wanted = KIND_CODES[kind] if kind is not None else ALL_KINDS
-            per_run = self._per_run(
-                ("aggregate", kind, metric),
-                lambda summary: summary.name_sums(metric, wanted),
-                lambda view: view.column_aggregate_by_name(kind=kind,
-                                                           metric=metric))
-            totals: Dict[str, float] = {}
-            for rows in per_run.values():
-                for name, value in rows.items():
-                    totals[name] = totals.get(name, 0.0) + value
-            self._aggregate_cache[key] = totals
-            self._stamp()
-            return dict(totals)
+            return dict(self._fold(("by_name", wanted, metric), fold))
 
     def name_states(self, kind: Optional[FrameKind] = None,
                     metric: str = M.METRIC_GPU_TIME) -> Dict[str, Tuple]:
@@ -553,42 +479,33 @@ class FleetAggregator:
 
         ``name → (count, sum, min, max, mean, m2)``, folded across runs in
         run order with the same merge arithmetic the CCT's parallel Welford
-        uses — what the index-served drift scans
-        (:func:`repro.fleet.differential.name_drift`) consume.  Indexed runs
-        contribute their summary rows; fallback runs recompute the identical
-        states from their sealed column blocks.
+        uses — what the drift scans
+        (:func:`repro.fleet.differential.name_drift`) consume.
         """
+        wanted = KIND_CODES[kind] if kind is not None else ALL_KINDS
+
+        def fold(summaries: List[RunSummary]) -> Dict[str, Tuple]:
+            totals: Dict[Tuple[int, str], Tuple] = {}
+            for summary in summaries:
+                for (kind_code, name), state in summary.states.get(
+                        metric, {}).items():
+                    if kind_code == wanted:
+                        accumulate_name_state(totals, (kind_code, name),
+                                              *state)
+            return {name: state for (_code, name), state in totals.items()}
+
         with TELEMETRY.span("fleet.query.name_states", metric=metric,
                             kind=kind.name if kind is not None else ""):
-            self._ensure_fresh()
-            key = ("states", kind, metric)
-            cached = self._aggregate_cache.get(key)
-            if cached is not None:
-                return dict(cached)
-            wanted = KIND_CODES[kind] if kind is not None else ALL_KINDS
-            per_run = self._per_run(
-                ("name_states", metric),
-                lambda summary: summary.states.get(metric, {}),
-                lambda view: view.column_name_states(metric))
-            totals: Dict[Tuple[int, str], Tuple] = {}
-            for states in per_run.values():
-                for (kind_code, name), state in states.items():
-                    if kind_code != wanted:
-                        continue
-                    accumulate_name_state(totals, (kind_code, name), *state)
-            result = {name: state
-                      for (_code, name), state in totals.items()}
-            self._aggregate_cache[key] = result
-            self._stamp()
-            return dict(result)
+            return dict(self._fold(("states", wanted, metric), fold))
 
     def top_kernels(self, k: int = 10,
                     metric: str = M.METRIC_GPU_TIME) -> List[Dict[str, object]]:
         """The fleet's ``k`` most expensive kernels (no tree is ever built).
 
         Mirrors ``ProfileDatabase.top_kernels`` — name, total, fraction of
-        the fleet-wide total — but aggregated across every run; over a fully
-        indexed store this reads index rows only.
+        the fleet-wide total — but aggregated across every run; any ``k``
+        ranks the same memoized ``aggregate_by_name`` and ``total_metric``
+        folds.
         """
         with TELEMETRY.span("fleet.query.top_kernels", k=k, metric=metric):
             totals = self.aggregate_by_name(kind=FrameKind.GPU_KERNEL,
@@ -606,13 +523,13 @@ class FleetAggregator:
 
         Structure needs bytes, so index-served runs open their views here
         (on demand; an unopenable run demotes).  Hydration and merge cost
-        are paid once and cached (until an underlying view moves — see
-        ``_ensure_fresh``); runs merge in run order and, within a run, shard
-        order — the same sequence a single profile containing all the shards
-        would merge in, so the result is bit-for-bit the tree that
-        profile's merged view would serve.
+        are paid once and cached (until a run demotes or a live-attached
+        view moves — see ``_summaries``); runs merge in run order and,
+        within a run, shard order — the same sequence a single profile
+        containing all the shards would merge in, so the result is
+        bit-for-bit the tree that profile's merged view would serve.
         """
-        self._ensure_fresh()
+        self._summaries()
         if self._merged is None:
             # Open and hydrate first (demoting runs whose blocks turn out
             # corrupt), then merge only fully-decoded trees: a run must
@@ -638,7 +555,6 @@ class FleetAggregator:
                     else:
                         combined.merge_from(hydrated)
                 self._merged = combined
-                self._stamp()
         return self._merged
 
     def merged(self) -> CallingContextTree:

@@ -491,7 +491,7 @@ class NameDelta:
 
 def _name_states(population, kind: Optional[FrameKind], metric: str) -> Dict[str, Tuple]:
     states = getattr(population, "name_states", None)
-    if callable(states):  # FleetAggregator (or view): index rows / column sums
+    if callable(states):  # FleetAggregator: folded run summaries
         return states(kind=kind, metric=metric)
     # Tree fallback: fold exclusive Welford states by label in registration
     # order with the same merge recurrence the column/index paths use.

@@ -1,9 +1,9 @@
 """The fleet query index: catalog-side columnar aggregates per run.
 
-PR 5's lazy column sums made a fleet query cost one frame table plus one
-metric column per shard *per run* — still linear decode work in run count on
-every query.  The index pays that decode once, at ingest, and persists what
-the standing fleet queries actually consume:
+Summarising a run from its lazy view (:meth:`RunSummary.from_view`) costs
+one frame table plus every metric column per shard — linear decode work in
+run count for every fresh ``FleetAggregator``.  The index pays that decode
+once, at ingest, and persists what the standing fleet queries consume:
 
 * a **global name dictionary** (``index/names.json``) interning every frame
   display name the store has seen, so per-run summaries store integer ids
@@ -16,8 +16,8 @@ the standing fleet queries actually consume:
 
 ``FleetAggregator`` then answers ``total_metric`` / ``aggregate_by_name`` /
 ``top_kernels`` — and name-level drift scans — for indexed runs from these
-rows alone, in pure dict arithmetic, bit-for-bit equal to the lazy-view
-path, without opening a single profile.
+rows alone, in pure dict arithmetic, bit-for-bit equal to a summary built
+from the view, without opening a single profile.
 
 Lifecycle contract:
 
@@ -72,16 +72,31 @@ class RunSummary:
     #: including the ``ALL_KINDS`` rows (see ``repro.core.storage``).
     states: Dict[str, Dict[Tuple[int, str], Tuple]] = field(default_factory=dict)
 
+    @classmethod
+    def from_view(cls, run_id: str, digest: str, view) -> "RunSummary":
+        """Summarise an open ``LazyProfileView`` across all its metrics.
+
+        The one decode pass behind every summary: ingest and ``reindex``
+        persist its states as index rows, and ``FleetAggregator`` builds it
+        in memory for runs the index misses.  Reads the sealed blocks, so a
+        rotten block of any metric raises ``ProfileFormatError`` here.
+        """
+        totals = {metric: view.total_metric(metric)
+                  for metric in view.metric_names()}
+        return cls(run_id=run_id, digest=digest, totals=totals,
+                   states={metric: view.column_name_states(metric)
+                           for metric in totals})
+
     def metric_names(self) -> List[str]:
         return list(self.totals)
 
     def name_sums(self, metric: str, kind_code: int) -> Dict[str, float]:
         """``name → sum`` for one metric and kind code, summary row order.
 
-        These are exactly the values ``column_aggregate_by_name`` would
-        return for the run (the index rows' ``sum`` fields are computed with
-        the same accumulation recurrence), so fleet-level folds over them
-        reproduce the lazy-view path bit for bit.
+        The ``sum`` fields follow the accumulation recurrence of the CCT's
+        ``aggregate_by_name`` in node order, so these are exactly that
+        method's values for the run, and fleet-level folds over them
+        reproduce a tree-path rollup bit for bit.
         """
         return {name: state[1]
                 for (code, name), state in self.states.get(metric, {}).items()

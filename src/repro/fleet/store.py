@@ -45,7 +45,7 @@ from ..core.storage import (FORMAT_BINARY_V1, LazyProfileView,
                             ProfileFormatError, backend_for,
                             check_compression, load_profile, recover_profile)
 from ..obs import TELEMETRY
-from .index import FleetIndex
+from .index import FleetIndex, RunSummary
 
 CATALOG_NAME = "catalog.json"
 CATALOG_VERSION = 1
@@ -630,14 +630,14 @@ class ProfileStore:
                 if callable(close):
                     close()
 
-        record, states = self._record_for(run_id, digest, relative, database,
-                                          identity, labels)
+        record, summary = self._record_for(run_id, digest, relative, database,
+                                           identity, labels)
         self._records[run_id] = record
         self._save_catalog()
         # Derived data last: a crash after the catalog write leaves an
         # unindexed run, which queries serve via the lazy fallback and
         # ``reindex``/``scrub`` backfill later.
-        self.fleet_index.write_summary(record, states)
+        self.fleet_index.write_summary(record, summary.states)
         if TELEMETRY.enabled:
             TELEMETRY.count("fleet.ingests")
         return record
@@ -645,19 +645,16 @@ class ProfileStore:
     def _record_for(self, run_id: str, digest: str, relative: str,
                     database: ProfileDatabase, identity: str,
                     labels: Optional[Mapping[str, str]]
-                    ) -> Tuple[RunRecord, Dict[str, Dict]]:
+                    ) -> Tuple[RunRecord, RunSummary]:
         metadata = database.metadata
         with backend_for(FORMAT_BINARY_V1).open(
                 os.path.join(self.root, relative)) as view:
-            totals = {metric: view.total_metric(metric)
-                      for metric in view.metric_names()}
             nodes = view.stored_node_count()
             shards = view.shard_count()
             # The index summary is computed while the canonical bytes are
             # already mapped — the one decode pass ingest pays so standing
             # fleet queries never pay it again.
-            states = {metric: view.column_name_states(metric)
-                      for metric in totals}
+            summary = RunSummary.from_view(run_id, digest, view)
         record = RunRecord(
             run_id=run_id,
             digest=digest,
@@ -675,10 +672,10 @@ class ProfileStore:
             profiler_wall_seconds=metadata.profiler_wall_seconds,
             nodes=nodes,
             shards=shards,
-            metrics=totals,
+            metrics=summary.totals,
             labels=dict(labels or {}),
         )
-        return record, states
+        return record, summary
 
     @staticmethod
     def _digest_file(path: str) -> str:
@@ -866,11 +863,11 @@ class ProfileStore:
             try:
                 with backend_for(FORMAT_BINARY_V1).open(
                         os.path.join(self.root, record.path)) as view:
-                    states = {metric: view.column_name_states(metric)
-                              for metric in view.metric_names()}
+                    summary = RunSummary.from_view(record.run_id,
+                                                   record.digest, view)
             except (ProfileFormatError, OSError):
                 continue
-            self.fleet_index.write_summary(record, states)
+            self.fleet_index.write_summary(record, summary.states)
             rebuilt.append(record.run_id)
         return rebuilt
 

@@ -339,20 +339,33 @@ class TestFleetAggregator:
         aggregator = FleetAggregator({"live": view})
         first = aggregator.total_metric(M.METRIC_GPU_TIME)
         assert first == pytest.approx(0.022)
-        # Repeat queries serve the memoized result (fingerprint stable).
+        # Repeat queries serve the memoized result (seal unchanged).
         assert aggregator.total_metric(M.METRIC_GPU_TIME) == first
-        assert aggregator.merged_tree() is aggregator.merged_tree()
+        tree = aggregator.merged_tree()
+        assert aggregator.merged_tree() is tree
+        assert aggregator.per_run_totals(M.METRIC_GPU_TIME) == {"live": first}
+        assert "k_norm" not in aggregator.name_states(kind=FrameKind.GPU_KERNEL)
+        assert M.METRIC_MEMCPY_BYTES not in aggregator.metric_names()
 
         shard = database.tree.shards()[1]
         node = shard.insert(_path("live", "norm", "k_norm"))
         shard.attribute_many(node, {M.METRIC_GPU_TIME: 0.5,
-                                    M.METRIC_KERNEL_COUNT: 1.0})
+                                    M.METRIC_KERNEL_COUNT: 1.0,
+                                    M.METRIC_MEMCPY_BYTES: 64.0})
         writer.checkpoint()
         assert view.refresh() is True
         assert aggregator.total_metric(M.METRIC_GPU_TIME) == pytest.approx(
             0.522)
         totals = aggregator.aggregate_by_name(kind=FrameKind.GPU_KERNEL)
         assert totals["k_norm"] == pytest.approx(0.5)
+        assert aggregator.per_run_totals(M.METRIC_GPU_TIME) == {
+            "live": pytest.approx(0.522)}
+        states = aggregator.name_states(kind=FrameKind.GPU_KERNEL)
+        assert states["k_norm"][:2] == (1, pytest.approx(0.5))
+        assert M.METRIC_MEMCPY_BYTES in aggregator.metric_names()
+        moved = aggregator.merged_tree()
+        assert moved is not tree
+        assert moved.total_metric(M.METRIC_GPU_TIME) == pytest.approx(0.522)
         writer.close()
         view.close()
 

@@ -15,8 +15,8 @@ Pins the index subsystem's contracts:
   to lazy views with a ``degradation_report()["index"]`` problem entry —
   same answers, never a crash;
 * **staleness**: a second ingest is reflected by the next aggregator, and
-  per-run query passes are memoized per fingerprint (``top_kernels`` with
-  different ``k`` reuse one pass);
+  a fallback run's summary is built from its view once (``top_kernels``
+  with different ``k`` and the other folds decode no further blocks);
 * **the satellites**: the catalog generation counter behind ``find`` /
   ``latest``, parallel fallback decode parity, and the index-served
   ``name_drift`` scan.
@@ -51,6 +51,7 @@ from repro.fleet import (
     ProfileStore,
     name_drift,
 )
+from repro.obs import TELEMETRY
 
 
 def _path(workload: str, op: str, kernel: str, line: int = 10) -> CallPath:
@@ -356,25 +357,46 @@ class TestIndexFallback:
 # ---------------------------------------------------------------------------
 
 class TestQueryMemoization:
+    """Repeated queries decode no further blocks (``storage.blocks_decoded``
+    counts every block read); an indexed aggregator decodes none at all."""
+
+    @pytest.fixture(autouse=True)
+    def _telemetry(self):
+        TELEMETRY.reset()
+        TELEMETRY.enable()
+        yield
+        TELEMETRY.disable()
+        TELEMETRY.reset()
+
+    @staticmethod
+    def blocks_decoded() -> float:
+        return TELEMETRY.counter_value("storage.blocks_decoded")
+
     def test_top_kernels_variants_share_one_pass(self, tmp_path):
         store, _records = make_store(tmp_path)
         for use_index in (True, False):
+            TELEMETRY.reset()
             with store.aggregator(use_index=use_index) as aggregator:
                 aggregator.top_kernels(k=1)
-                passes = aggregator.aggregate_passes
+                first = self.blocks_decoded()
+                assert (first == 0) if use_index else (first > 0)
                 aggregator.top_kernels(k=2)
                 aggregator.top_kernels(k=10)
                 aggregator.aggregate_by_name(kind=FrameKind.GPU_KERNEL)
-                assert aggregator.aggregate_passes == passes
+                aggregator.per_run_totals(M.METRIC_GPU_TIME)
+                assert self.blocks_decoded() == first
 
     def test_total_and_per_run_share_one_pass(self, tmp_path):
         store, _records = make_store(tmp_path)
-        with store.aggregator() as aggregator:
-            total = aggregator.total_metric(M.METRIC_GPU_TIME)
-            passes = aggregator.aggregate_passes
-            per_run = aggregator.per_run_totals(M.METRIC_GPU_TIME)
-            assert aggregator.aggregate_passes == passes
-            assert sum(per_run.values()) == total
+        for use_index in (True, False):
+            TELEMETRY.reset()
+            with store.aggregator(use_index=use_index) as aggregator:
+                total = aggregator.total_metric(M.METRIC_GPU_TIME)
+                first = self.blocks_decoded()
+                assert (first == 0) if use_index else (first > 0)
+                per_run = aggregator.per_run_totals(M.METRIC_GPU_TIME)
+                assert self.blocks_decoded() == first
+                assert sum(per_run.values()) == total
 
 
 class TestCatalogGeneration:

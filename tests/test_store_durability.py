@@ -385,6 +385,26 @@ class TestDegradedAggregation:
         # The demotion wrote back: every later reader skips the run too.
         assert not store.get(records[1].run_id).healthy
 
+    def test_rot_in_another_metric_demotes_on_first_query(self, tmp_path):
+        """A fallback run is summarised across all its metrics at once, so
+        rot in the ``kernel_count`` column demotes it even when the query
+        only asks for ``gpu_time`` — the granularity ingest and scrub use."""
+        store, records = self._store_with_runs(tmp_path)
+        path = store.profile_path(records[1].run_id)
+        flip_bit(path, _column_block_offset(path, M.METRIC_KERNEL_COUNT) + 3)
+        expected = sum(records[index].metrics[M.METRIC_GPU_TIME]
+                       for index in (0, 2))
+        with store.aggregator(use_index=False) as aggregator:
+            total = aggregator.total_metric(M.METRIC_GPU_TIME)
+            assert total == expected
+            assert aggregator.run_ids() == [records[0].run_id,
+                                            records[2].run_id]
+            report = aggregator.degradation_report()
+        (entry,) = report["degraded_runs"]
+        assert entry["run_id"] == records[1].run_id
+        assert entry["stage"] == "query"
+        assert not store.get(records[1].run_id).healthy
+
     def test_degradation_surfaces_as_analyzer_issues(self, tmp_path):
         store, records = self._store_with_runs(tmp_path)
         store.quarantine(records[0].run_id, "checksum mismatch in shard 1")
