@@ -1,15 +1,22 @@
 """Telemetry overhead — the observability layer must be near-free.
 
-PR 9 threaded ``repro.obs`` guards through every hot seam (streaming
-seals, block decodes, catalog locks, fleet queries).  This benchmark
-gates the promise that instrumentation never becomes the workload:
+``repro.obs`` instruments the cold seams (streaming seals, block
+decodes, catalog locks, fleet queries).  This benchmark gates the
+promise that instrumentation never becomes the workload:
 
-* **enabled** — recording counters, histograms and spans while running
-  a streaming-checkpoint loop and a fleet-query sweep must cost at most
-  **1.10x** the same work with telemetry off;
-* **disabled** (the default) — each untaken seam costs one attribute
-  check.  Measured per-guard cost times the number of guard hits the
-  enabled run actually recorded must stay under **2%** of the disabled
+* **enabled** — recording histograms and spans on top of the always-on
+  counters while running a streaming-checkpoint loop and a fleet-query
+  sweep must cost at most **1.10x** the same work with telemetry off.
+  Enabled and disabled passes run as alternating pairs on one fixture
+  and the gate reads the median of the per-pair ratios: the two passes
+  of a pair share the machine's momentary speed, so load from other
+  processes cancels inside the pair, and the median discards the pairs
+  a preemption split;
+* **disabled** (the default) — counters still record, and every other
+  seam costs one attribute check.  The ``count()`` calls a pass makes
+  times the measured cost of an always-on ``count()``, plus the
+  remaining registry calls times the measured cost of one
+  ``TELEMETRY.enabled`` check, must stay under **2%** of the disabled
   runtime (the ≤1.02x budget), so shipping the instrumentation does not
   tax users who never turn it on.
 
@@ -21,7 +28,9 @@ Run standalone with::
 
 from __future__ import annotations
 
+import gc
 import json
+import statistics
 import time
 
 import pytest
@@ -61,15 +70,23 @@ ENABLED_BUDGET = 1.10
 #: Disabled guards may cost at most this fraction of the runtime.
 DISABLED_BUDGET = 0.02
 
+#: Reseals per streaming pass.
+RESEALS = 2
+#: Steps per profile in the fleet shape's two-run store.  Short passes
+#: let many pairs fit, and each pair's two passes then sit close in time.
+FLEET_STEPS = 5
+#: Alternating enabled/disabled pairs timed per shape (odd: a true median).
+PAIRS = 61
+#: Best-of trials for the per-call cost microbenchmarks.
 TRIALS = 3
 
 
-def build_profile(name: str) -> ProfileDatabase:
+def build_profile(name: str, steps: int = STEPS) -> ProfileDatabase:
     tree = ShardedCallingContextTree(name)
     for tid in range(1, SHARDS + 1):
         shard = tree.shard_for_tid(tid, thread_name=f"thread-{tid}")
         prefix = [root_frame(name), thread_frame(f"thread-{tid}", tid)]
-        for step in range(STEPS):
+        for step in range(steps):
             step_frame = python_frame("train.py", step, f"step_{step}")
             for op in range(OPERATORS):
                 op_frame = framework_frame(f"aten::op_{op}")
@@ -83,27 +100,48 @@ def build_profile(name: str) -> ProfileDatabase:
     return ProfileDatabase(tree)
 
 
-def timed_best(func, trials: int = TRIALS) -> float:
-    best = float("inf")
-    for _ in range(trials):
-        start = time.perf_counter()
-        func()
-        best = min(best, time.perf_counter() - start)
-    return best
+def timed_pairs(run):
+    """Disabled and enabled seconds of each pass, over alternating pairs.
+
+    Both sides run on the same fixture; the order inside a pair flips
+    every pair, so neither side always runs on the warmer cache.  Every
+    pass starts from a full collection: a pass allocates enough to
+    trigger the cyclic collector many times, and without a common
+    starting state its one expensive full collection phase-locks onto
+    one side of the alternation (a ~40% bias on the streaming shape on
+    a shared 2-core machine).
+    """
+    seconds = {False: [], True: []}
+    for pair in range(PAIRS):
+        for enabled in ((False, True) if pair % 2 == 0 else (True, False)):
+            gc.collect()
+            if enabled:
+                TELEMETRY.enable()
+            try:
+                start = time.perf_counter()
+                run()
+                seconds[enabled].append(time.perf_counter() - start)
+            finally:
+                TELEMETRY.disable()
+    return seconds[False], seconds[True]
 
 
 def streaming_shape(tmp_path, label: str):
-    """One checkpoint-reseal pass over a fresh streamed profile."""
+    """Attribute-then-reseal rounds over one streamed profile.
+
+    Each round dirties one shard (round-robin) and reseals; the first
+    call also writes the initial full seal.
+    """
     database = build_profile(f"telemetry-perf-{label}")
     writer = StreamingProfileWriter(database,
                                     str(tmp_path / f"{label}.cctb"))
 
     def run():
-        writer.checkpoint()
-        shard = database.tree.shard_for_tid(1)
-        for node in shard.kernels[::16]:
-            shard.attribute_many(node, RECORD_METRICS)
-        writer.checkpoint()
+        for reseal in range(RESEALS):
+            shard = database.tree.shard_for_tid(1 + reseal % SHARDS)
+            for node in shard.kernels[::16]:
+                shard.attribute_many(node, RECORD_METRICS)
+            writer.checkpoint()
 
     return run
 
@@ -112,7 +150,8 @@ def fleet_shape(tmp_path, label: str):
     """Fleet-query sweep over a two-run store (ingest done in setup)."""
     store = ProfileStore(str(tmp_path / f"fleet-{label}"))
     for run in range(2):
-        database = build_profile(f"telemetry-perf-{label}-{run}")
+        database = build_profile(f"telemetry-perf-{label}-{run}",
+                                 steps=FLEET_STEPS)
         database.metadata.workload = "telemetry-perf"
         store.ingest(database)
 
@@ -130,52 +169,59 @@ def fleet_shape(tmp_path, label: str):
     return run
 
 
-def counted_telemetry_calls(run) -> int:
+def counted_telemetry_calls(run):
     """Run once with telemetry on, counting every registry call.
 
-    Each instrumented seam makes at most a handful of registry calls per
-    guard evaluation, so the call count is a (conservative) upper bound
-    on how many ``TELEMETRY.enabled`` checks the disabled path performs.
+    Returns ``(counts, guarded)``: the ``count()`` calls, which still
+    record while telemetry is disabled, and every other registry call.
+    Each of those sits behind at most one ``TELEMETRY.enabled`` check, so
+    ``guarded`` is a (conservative) upper bound on how many guard checks
+    the disabled path performs.
     """
-    calls = 0
-    originals = (TELEMETRY.count, TELEMETRY.observe, TELEMETRY.span,
-                 TELEMETRY.gauge_set, TELEMETRY.gauge_add)
+    calls = {"count": 0, "other": 0}
+    names = ("count", "observe", "span", "gauge_set", "gauge_add")
+    originals = {name: getattr(TELEMETRY, name) for name in names}
 
-    def counting(original):
+    def counting(name):
+        original = originals[name]
+        kind = "count" if name == "count" else "other"
+
         def wrapper(*args, **kwargs):
-            nonlocal calls
-            calls += 1
+            calls[kind] += 1
             return original(*args, **kwargs)
         return wrapper
 
-    TELEMETRY.reset()
     TELEMETRY.enable()
-    TELEMETRY.count, TELEMETRY.observe, TELEMETRY.span = (
-        counting(originals[0]), counting(originals[1]),
-        counting(originals[2]))
-    TELEMETRY.gauge_set, TELEMETRY.gauge_add = (counting(originals[3]),
-                                                counting(originals[4]))
+    for name in names:
+        setattr(TELEMETRY, name, counting(name))
     try:
         run()
     finally:
-        (TELEMETRY.count, TELEMETRY.observe, TELEMETRY.span,
-         TELEMETRY.gauge_set, TELEMETRY.gauge_add) = originals
+        for name in names:
+            delattr(TELEMETRY, name)  # back to the class methods
         TELEMETRY.disable()
-        TELEMETRY.reset()
-    return calls
+    return calls["count"], calls["other"]
 
 
-def per_guard_seconds() -> float:
-    """Cost of one disabled ``TELEMETRY.enabled`` check, best of trials."""
+def per_call_seconds(call) -> float:
+    """Cost of one ``call()``, best of trials."""
     iterations = 200_000
     best = float("inf")
     for _ in range(TRIALS):
         start = time.perf_counter()
         for _ in range(iterations):
-            if TELEMETRY.enabled:  # pragma: no cover - never taken
-                TELEMETRY.count("never")
+            call()
         best = min(best, time.perf_counter() - start)
     return best / iterations
+
+
+def guard_check() -> None:
+    if TELEMETRY.enabled:  # pragma: no cover - never taken
+        TELEMETRY.observe("never", 0.0)
+
+
+def always_on_count() -> None:
+    TELEMETRY.count("bench.always_on")
 
 
 class TestTelemetryOverhead:
@@ -184,36 +230,42 @@ class TestTelemetryOverhead:
         factory = streaming_shape if shape == "streaming" else fleet_shape
         TELEMETRY.disable()
         TELEMETRY.reset()
-
-        disabled_run = factory(tmp_path, f"{shape}-disabled")
-        disabled_run()  # warm caches/allocators outside the measurement
-        disabled_seconds = timed_best(disabled_run)
-
-        enabled_run = factory(tmp_path, f"{shape}-enabled")
-        TELEMETRY.reset()
-        TELEMETRY.enable()
+        run = factory(tmp_path, shape)
         try:
-            enabled_run()  # warm-up, symmetric with the disabled shape
-            enabled_seconds = timed_best(enabled_run)
+            run()  # warm caches/allocators outside the measurement
+            TELEMETRY.enable()
+            run()
+            TELEMETRY.disable()
+            TELEMETRY.reset()
+            disabled_passes, enabled_passes = timed_pairs(run)
             spans_recorded = TELEMETRY.snapshot()["spans"]["recorded"]
+            count_calls, guarded_calls = counted_telemetry_calls(run)
+            # Both costs are measured with the registry disabled, the
+            # state the disabled model prices.
+            count_seconds = per_call_seconds(always_on_count)
+            guard_seconds = per_call_seconds(guard_check)
         finally:
             TELEMETRY.disable()
             TELEMETRY.reset()
-
-        guard_hits = counted_telemetry_calls(
-            factory(tmp_path, f"{shape}-counted"))
-        guard_seconds = per_guard_seconds()
-        disabled_fraction = (guard_hits * guard_seconds
+        disabled_seconds = statistics.median(disabled_passes)
+        enabled_ratio = statistics.median(
+            enabled / disabled
+            for disabled, enabled in zip(disabled_passes, enabled_passes))
+        # The guard loop's own call overhead is charged to every guard:
+        # conservative, the real seams inline the check.
+        disabled_fraction = ((count_calls * count_seconds
+                              + guarded_calls * guard_seconds)
                              / max(disabled_seconds, 1e-12))
-
-        enabled_ratio = enabled_seconds / disabled_seconds
         report = {
             "shape": shape,
-            "disabled_s": disabled_seconds,
-            "enabled_s": enabled_seconds,
+            "pairs": PAIRS,
+            "disabled_s_median": disabled_seconds,
+            "enabled_s_median": statistics.median(enabled_passes),
             "enabled_ratio": enabled_ratio,
             "enabled_budget": ENABLED_BUDGET,
-            "guard_hits_per_pass": guard_hits,
+            "count_calls_per_pass": count_calls,
+            "per_count_ns": count_seconds * 1e9,
+            "guarded_calls_per_pass": guarded_calls,
             "per_guard_ns": guard_seconds * 1e9,
             "disabled_overhead_fraction": disabled_fraction,
             "disabled_budget": DISABLED_BUDGET,
@@ -228,7 +280,8 @@ class TestTelemetryOverhead:
         assert enabled_ratio <= ENABLED_BUDGET, (
             f"telemetry enabled costs {enabled_ratio:.3f}x on the {shape} "
             f"shape (budget {ENABLED_BUDGET}x)")
-        # Disabled guards stay within the ≤1.02x budget.
+        # Counters plus disabled guards stay within the ≤1.02x budget.
         assert disabled_fraction <= DISABLED_BUDGET, (
-            f"disabled guards cost {disabled_fraction * 100:.2f}% of the "
-            f"{shape} runtime (budget {DISABLED_BUDGET * 100:.0f}%)")
+            f"always-on counters and disabled guards cost "
+            f"{disabled_fraction * 100:.2f}% of the {shape} runtime "
+            f"(budget {DISABLED_BUDGET * 100:.0f}%)")

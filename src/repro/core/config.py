@@ -66,17 +66,6 @@ class ProfilerConfig:
     #: ``mark_iteration`` (0 = only the initial and closing seals, plus any
     #: explicit ``DeepContextProfiler.checkpoint()`` calls).
     checkpoint_interval_s: float = 0.0
-    #: Enable the self-telemetry layer (``repro.obs``) for this session:
-    #: ``start()`` turns the process-wide registry on, so the storage /
-    #: streaming / fleet seams record counters and spans while the profiler
-    #: runs.  Off by default — disabled telemetry costs one attribute check
-    #: per instrumented seam (see docs/OBSERVABILITY.md).
-    telemetry: bool = False
-    #: Write a Chrome ``trace_event`` JSON of the recorded telemetry spans
-    #: here at ``stop()`` ("" = no export).  A sibling
-    #: ``<trace_path>.metrics.json`` snapshot is written alongside it.
-    #: Loads in Perfetto / ``chrome://tracing``.
-    trace_path: str = ""
 
     def callpath_sources(self) -> CallPathSources:
         """The DLMonitor source selection implied by this configuration."""

@@ -19,6 +19,7 @@ while the run is still going.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import time
 from typing import Dict, Optional
 
@@ -34,7 +35,6 @@ from .database import ProfileDatabase, ProfileMetadata
 from ..obs import TELEMETRY
 from .gpu_collector import GpuMetricCollector
 from .streaming import CheckpointStats, StreamingProfileWriter
-from . import metrics as M
 
 
 class DeepContextProfiler:
@@ -64,10 +64,6 @@ class DeepContextProfiler:
         self._virtual_start = 0.0
         self.framework_ops_seen = 0
         self.iterations = 0
-        #: Whether this session turned the telemetry registry on (and so is
-        #: responsible for turning it off at ``stop()``).  A registry the
-        #: caller enabled before ``start()`` is left exactly as found.
-        self._owns_telemetry = False
 
     # -- lifecycle --------------------------------------------------------------------
 
@@ -75,10 +71,6 @@ class DeepContextProfiler:
         """Begin profiling: install every interception and collector."""
         if self._running:
             return self
-        if self.config.telemetry and not TELEMETRY.enabled:
-            TELEMETRY.reset()
-            TELEMETRY.enable()
-            self._owns_telemetry = True
         self._wall_start = time.perf_counter()
         self._virtual_start = self.engine.elapsed_real_time()
         self.monitor = dlmonitor_init(
@@ -117,7 +109,7 @@ class DeepContextProfiler:
         if self.cpu_collector is not None:
             self.cpu_collector.stop()
         assert self.monitor is not None
-        stats = self.monitor.stats.as_dict()
+        stats = dataclasses.asdict(self.monitor.stats)
         self.monitor.finalize()
         self._wall_seconds = time.perf_counter() - self._wall_start
         self._running = False
@@ -135,12 +127,11 @@ class DeepContextProfiler:
         else:
             self._database = ProfileDatabase(self.tree, metadata,
                                              dlmonitor_stats=stats)
-        if self.config.trace_path and TELEMETRY.enabled:
-            TELEMETRY.export_trace(self.config.trace_path)
-            TELEMETRY.export_snapshot(f"{self.config.trace_path}.metrics.json")
-        if self._owns_telemetry:
-            TELEMETRY.disable()
-            self._owns_telemetry = False
+        # Loss counters, published once after the collectors' final flush
+        # and sweep: activity records that found no launch context, and
+        # launches whose records never arrived.
+        TELEMETRY.count("correlation.unresolved", self.correlations.unresolved)
+        TELEMETRY.count("correlation.pending", self.correlations.pending_count)
         return self._database
 
     @contextlib.contextmanager
@@ -195,7 +186,7 @@ class DeepContextProfiler:
         database = self.stream_writer.database
         database.metadata = self._metadata_snapshot()
         if self.monitor is not None:
-            database.dlmonitor_stats = self.monitor.stats.as_dict()
+            database.dlmonitor_stats = dataclasses.asdict(self.monitor.stats)
         stats = self.stream_writer.checkpoint()
         self._last_checkpoint_wall = time.perf_counter()
         return stats
@@ -215,32 +206,6 @@ class DeepContextProfiler:
     @property
     def running(self) -> bool:
         return self._running
-
-    def overhead_statistics(self) -> Dict[str, float]:
-        """Profiler-side bookkeeping used by the Figure-6 overhead harness."""
-        tree = self.tree
-        if isinstance(tree, ShardedCallingContextTree):
-            # Collection-side numbers: probing must not force a merged-view
-            # materialization mid-run (it would be O(total nodes) per probe
-            # and would then show up in the very footprint being reported).
-            stats: Dict[str, float] = {
-                "profiler_wall_seconds": self._wall_seconds,
-                "cct_nodes": float(tree.stored_node_count()),
-                "cct_size_bytes": float(tree.stored_size_bytes()),
-                "cct_shards": float(tree.shard_count()),
-            }
-        else:
-            stats = {
-                "profiler_wall_seconds": self._wall_seconds,
-                "cct_nodes": float(tree.node_count()),
-                "cct_size_bytes": float(tree.approximate_size_bytes()),
-            }
-        if self.monitor is not None:
-            stats["cache_hit_rate"] = self.monitor.cache.hit_rate
-            stats["unwind_steps"] = float(self.monitor.unwinder.steps)
-        if self.stream_writer is not None:
-            stats["profile_checkpoints"] = float(self.stream_writer.checkpoints)
-        return stats
 
     # -- internals -----------------------------------------------------------------------------
 

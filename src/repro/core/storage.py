@@ -629,8 +629,7 @@ class _LazyShard:
         return f"column block {metric!r} of shard {self.shard_id}"
 
     def _block(self, descriptor: Mapping, label: str = "block") -> memoryview:
-        if TELEMETRY.enabled:
-            TELEMETRY.count("storage.blocks_decoded")
+        TELEMETRY.count("storage.blocks_decoded")
         offset = int(descriptor["offset"])
         raw = self._view._checked_slice(descriptor, label)
         codec = descriptor.get("compression")
@@ -851,8 +850,7 @@ class LazyProfileView:
                     f"0x{int(expected):08x}, computed 0x{actual:08x}); the "
                     f"block's bytes changed after sealing")
             self._verified.add(offset)
-            if TELEMETRY.enabled:
-                TELEMETRY.count("storage.crc_verified")
+            TELEMETRY.count("storage.crc_verified")
         return raw
 
     def verify_blocks(self) -> List[str]:
@@ -1460,8 +1458,7 @@ class BinaryV1Backend(StorageBackend):
             mm.close()
             handle.close()
             raise
-        if TELEMETRY.enabled:
-            TELEMETRY.count("storage.views_opened")
+        TELEMETRY.count("storage.views_opened")
         return LazyProfileView(path, handle, mm, toc, meta, seal_end=seal_end)
 
 

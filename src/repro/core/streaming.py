@@ -301,12 +301,12 @@ class StreamingProfileWriter:
             file_bytes=self._offset,
             wall_seconds=time.perf_counter() - start,
         )
+        TELEMETRY.count("streaming.seals")
+        TELEMETRY.count("streaming.dirty_shards", dirty)
+        TELEMETRY.count("streaming.clean_shards", clean)
+        TELEMETRY.count("streaming.bytes_appended",
+                        self.last_stats.bytes_appended)
         if TELEMETRY.enabled:
-            TELEMETRY.count("streaming.seals")
-            TELEMETRY.count("streaming.dirty_shards", dirty)
-            TELEMETRY.count("streaming.clean_shards", clean)
-            TELEMETRY.count("streaming.bytes_appended",
-                            self.last_stats.bytes_appended)
             TELEMETRY.observe("streaming.seal_seconds",
                               self.last_stats.wall_seconds)
         return self.last_stats
@@ -361,10 +361,9 @@ class StreamingProfileWriter:
         """Drop superseded blocks by copying live byte ranges (no re-encode)."""
         toc = self._last_toc
         assert toc is not None
-        if TELEMETRY.enabled:
-            TELEMETRY.count("streaming.compactions")
-            TELEMETRY.count("streaming.bytes_reclaimed",
-                            self.superseded_bytes)
+        TELEMETRY.count("streaming.compactions")
+        TELEMETRY.count("streaming.bytes_reclaimed",
+                        self.superseded_bytes)
         temp_path = f"{self.path}.compact.tmp"
         try:
             with open(self.path, "rb") as source, \

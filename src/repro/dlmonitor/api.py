@@ -54,15 +54,6 @@ class DLMonitorStats:
     callpaths_built: int = 0
     python_captures: int = 0
 
-    def as_dict(self) -> Dict[str, int]:
-        return {
-            "framework_events": self.framework_events,
-            "gpu_events": self.gpu_events,
-            "compilation_events": self.compilation_events,
-            "callpaths_built": self.callpaths_built,
-            "python_captures": self.python_captures,
-        }
-
 
 class DLMonitor:
     """The shim layer between the profiler and the (simulated) framework."""

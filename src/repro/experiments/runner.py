@@ -162,9 +162,11 @@ def run_workload(workload: Workload, device: str = "a100", mode: str = MODE_EAGE
     one-shot runs and watched fleets chart on the same axis.
 
     With ``telemetry=True`` (or ``trace_path``) the self-telemetry layer
-    (``repro.obs``) records counters and spans across every seam the run
-    touches — runner phases, streaming seals, storage block decodes,
-    catalog-lock waits, fleet ingest and queries.  The metrics snapshot is
+    (``repro.obs``) records spans and histograms, on top of its always-on
+    counters, across every seam the run touches — runner phases, streaming
+    seals, storage block decodes, catalog-lock waits, fleet ingest and
+    queries.  A registry this run enables is reset first, so its counters
+    cover just this run.  The metrics snapshot is
     attached as ``RunResult.telemetry``; ``trace_path`` additionally writes
     a Chrome ``trace_event`` JSON (plus a ``<trace_path>.metrics.json``
     snapshot) that loads in Perfetto.  A registry the caller already

@@ -38,7 +38,6 @@ from .store import (
     ScrubReport,
     catalog_lock_stats,
     config_hash,
-    reset_catalog_lock_stats,
 )
 from .watcher import (
     FleetWatcher,
@@ -63,7 +62,6 @@ __all__ = [
     "WatcherTick",
     "CatalogLockTimeout",
     "catalog_lock_stats",
-    "reset_catalog_lock_stats",
     "STATUS_OK",
     "STATUS_QUARANTINED",
     "DifferentialProfile",

@@ -195,7 +195,7 @@ class FleetAggregator:
         aggregator._sources = sources
         aggregator._index_problems = problems
         aggregator._requested = len(sources) + len(degraded)
-        if degraded and TELEMETRY.enabled:
+        if degraded:
             TELEMETRY.count("fleet.degraded_runs", len(degraded))
         return aggregator
 
@@ -329,8 +329,7 @@ class FleetAggregator:
             source.view.close()
         self._degraded[run_id] = DegradedRun(run_id=run_id, reason=reason,
                                              stage=stage)
-        if TELEMETRY.enabled:
-            TELEMETRY.count("fleet.degraded_runs")
+        TELEMETRY.count("fleet.degraded_runs")
         self._memo.clear()
         self._merged = None
         if self._store is not None:
@@ -422,15 +421,13 @@ class FleetAggregator:
         """``fold`` over every healthy run's summary, memoized under ``key``."""
         summaries = self._summaries()
         if key not in self._memo:
-            if TELEMETRY.enabled:
-                built = sum(1 for source in self._sources.values()
-                            if source.seal is not None)
-                TELEMETRY.count("fleet.aggregate_passes")
-                if len(summaries) > built:
-                    TELEMETRY.count("fleet.index_served",
-                                    len(summaries) - built)
-                if built:
-                    TELEMETRY.count("fleet.lazy_served", built)
+            built = sum(1 for source in self._sources.values()
+                        if source.seal is not None)
+            TELEMETRY.count("fleet.aggregate_passes")
+            if len(summaries) > built:
+                TELEMETRY.count("fleet.index_served", len(summaries) - built)
+            if built:
+                TELEMETRY.count("fleet.lazy_served", built)
             self._memo[key] = fold(summaries)
         return self._memo[key]
 

@@ -234,8 +234,7 @@ class FleetIndex:
                     raise
         self._names_cache = None
         self._summary_cache.pop(record.run_id, None)
-        if TELEMETRY.enabled:
-            TELEMETRY.count("fleet.index_builds")
+        TELEMETRY.count("fleet.index_builds")
 
     def remove(self, run_id: str) -> bool:
         """Drop one run's summary (quarantine/remove invalidation).
@@ -290,7 +289,7 @@ class FleetIndex:
         summary, problem = self._load_summary(path, record)
         self._summary_cache[record.run_id] = (signature, record.digest,
                                               summary, problem)
-        if problem is not None and TELEMETRY.enabled:
+        if problem is not None:
             # Counted once per fresh validation failure (cache hits on the
             # same rotten file don't re-count): each bump is one summary
             # demoted to the lazy path.

@@ -35,7 +35,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple, Union
@@ -76,52 +75,38 @@ class CatalogLockTimeout(TimeoutError):
     """The catalog lock could not be acquired within the bounded wait."""
 
 
-#: Always-on catalog-lock statistics, kept even while telemetry is
-#: disabled: lock contention is exactly the signal one wants *after* an
-#: incident, when nobody thought to enable tracing beforehand.  Read via
-#: :func:`catalog_lock_stats`; all mutation goes through
-#: :func:`_note_lock_wait` under the guard.
-_LOCK_STATS_GUARD = threading.Lock()
-_LOCK_STATS: Dict[str, float] = {
-    "acquires": 0.0,       # successful acquisitions
-    "contended": 0.0,      # ...that found the lock file held at least once
-    "wait_seconds": 0.0,   # cumulative wall time spent waiting (all outcomes)
-    "stale_breaks": 0.0,   # abandoned lock files this process unlinked
-    "timeouts": 0.0,       # acquisitions abandoned via CatalogLockTimeout
+#: ``catalog_lock_stats()`` key → the always-on registry counter behind it.
+_LOCK_COUNTERS = {
+    "acquires": "fleet.lock_acquires",          # successful acquisitions
+    "contended": "fleet.lock_contended",        # ...that found the lock held
+    "wait_seconds": "fleet.lock_wait_seconds",  # wall time waited (all outcomes)
+    "stale_breaks": "fleet.lock_stale_breaks",  # abandoned lock files unlinked
+    "timeouts": "fleet.lock_timeouts",          # CatalogLockTimeout raised
 }
 
 
 def catalog_lock_stats() -> Dict[str, float]:
-    """A copy of the process-wide catalog-lock counters (always on)."""
-    with _LOCK_STATS_GUARD:
-        return dict(_LOCK_STATS)
+    """The process-wide catalog-lock counters, read from the registry.
 
-
-def reset_catalog_lock_stats() -> None:
-    with _LOCK_STATS_GUARD:
-        for key in _LOCK_STATS:
-            _LOCK_STATS[key] = 0.0
+    Registry counters are always on, so these are kept even while
+    telemetry is disabled: lock contention is exactly the signal one
+    wants *after* an incident, when nobody thought to enable tracing.
+    """
+    return {key: TELEMETRY.counter_value(name)
+            for key, name in _LOCK_COUNTERS.items()}
 
 
 def _note_lock_wait(waited: float, contended: bool, stale_breaks: int,
                     timed_out: bool) -> None:
-    with _LOCK_STATS_GUARD:
-        if timed_out:
-            _LOCK_STATS["timeouts"] += 1
-        else:
-            _LOCK_STATS["acquires"] += 1
-            if contended:
-                _LOCK_STATS["contended"] += 1
-        _LOCK_STATS["wait_seconds"] += waited
-        _LOCK_STATS["stale_breaks"] += stale_breaks
-    if TELEMETRY.enabled:
-        TELEMETRY.count("fleet.lock_wait_seconds", waited)
-        if timed_out:
-            TELEMETRY.count("fleet.lock_timeouts")
-        else:
-            TELEMETRY.count("fleet.lock_acquires")
-        if stale_breaks:
-            TELEMETRY.count("fleet.lock_stale_breaks", stale_breaks)
+    TELEMETRY.count("fleet.lock_wait_seconds", waited)
+    if timed_out:
+        TELEMETRY.count("fleet.lock_timeouts")
+    else:
+        TELEMETRY.count("fleet.lock_acquires")
+        if contended:
+            TELEMETRY.count("fleet.lock_contended")
+    if stale_breaks:
+        TELEMETRY.count("fleet.lock_stale_breaks", stale_breaks)
 
 
 class _CatalogLock:
@@ -617,8 +602,7 @@ class ProfileStore:
                     # Re-ingesting a run a pre-index store already holds (or
                     # whose summary rotted) heals its index entry for free.
                     self.reindex([existing.run_id])
-                if TELEMETRY.enabled:
-                    TELEMETRY.count("fleet.ingest_dedup")
+                TELEMETRY.count("fleet.ingest_dedup")
                 return existing
             relative = os.path.join(PROFILE_DIR, f"{run_id}{PROFILE_SUFFIX}")
             os.replace(temp_path, os.path.join(self.root, relative))
@@ -638,8 +622,7 @@ class ProfileStore:
         # unindexed run, which queries serve via the lazy fallback and
         # ``reindex``/``scrub`` backfill later.
         self.fleet_index.write_summary(record, summary.states)
-        if TELEMETRY.enabled:
-            TELEMETRY.count("fleet.ingests")
+        TELEMETRY.count("fleet.ingests")
         return record
 
     def _record_for(self, run_id: str, digest: str, relative: str,
@@ -885,8 +868,7 @@ class ProfileStore:
         record.quarantined_at = time.time()
         self._save_catalog()
         self.fleet_index.remove(record.run_id)
-        if TELEMETRY.enabled:
-            TELEMETRY.count("fleet.quarantines")
+        TELEMETRY.count("fleet.quarantines")
         return record
 
     def restore(self, run_id: str) -> RunRecord:
@@ -968,8 +950,7 @@ class ProfileStore:
                     record.quarantined_at = time.time()
                     report.quarantined.append((record.run_id, problem))
                     changed = True
-                    if TELEMETRY.enabled:
-                        TELEMETRY.count("fleet.quarantines")
+                    TELEMETRY.count("fleet.quarantines")
                 else:
                     if record.quarantine_reason != problem:
                         record.quarantine_reason = problem
@@ -985,11 +966,10 @@ class ProfileStore:
                      and not self.fleet_index.is_current(record)]
             if stale:
                 self.reindex(stale)
-            if TELEMETRY.enabled:
-                TELEMETRY.count("fleet.scrub_checked", report.checked)
-                TELEMETRY.count("fleet.scrub_quarantined",
-                                len(report.quarantined))
-                TELEMETRY.count("fleet.scrub_restored", len(report.restored))
+            TELEMETRY.count("fleet.scrub_checked", report.checked)
+            TELEMETRY.count("fleet.scrub_quarantined",
+                            len(report.quarantined))
+            TELEMETRY.count("fleet.scrub_restored", len(report.restored))
         return report
 
     # -- fleet queries ----------------------------------------------------------------------------

@@ -6,7 +6,10 @@ index demotions, seal/compaction passes.  This module is the substrate
 those seams report through: a process-wide :class:`Telemetry` registry of
 
 * **counters** — monotonically increasing floats, exact under threads
-  (every bump takes the registry lock);
+  (every bump takes the registry lock) and **always on**: they record
+  whether or not the registry is enabled, so cold-path facts (lock
+  waits, block decodes, seals, ingests) are there after an incident
+  even when nobody thought to enable tracing beforehand;
 * **gauges** — last-write-wins floats (``gauge_set``) with an additive
   form (``gauge_add``) for level-style values;
 * **histograms** — fixed log2-scale buckets anchored at
@@ -19,10 +22,13 @@ those seams report through: a process-wide :class:`Telemetry` registry of
   tuple into a bounded ring buffer.  Parent/child nesting is tracked per
   thread; the buffer drops the oldest span when full and counts drops.
 
-Disabled (the default) must be near-free: the only cost on an
-instrumented path is one attribute check (``telemetry.enabled``) — and
-``span()`` returns a shared stateless no-op context manager.  The
-enabled cost is gated by ``benchmarks/test_perf_telemetry.py``.
+Gauges, histograms and spans are opt-in.  Disabled (the default) they
+must be near-free: the cost on an instrumented path is one attribute
+check (``telemetry.enabled``) — and ``span()`` returns a shared
+stateless no-op context manager.  Counters are only bumped on cold
+paths (per block, seal, ingest, lock or query fold, never per
+framework or GPU event), so their one locked add is cheap enough to
+keep on.  Both costs are gated by ``benchmarks/test_perf_telemetry.py``.
 
 Exports: :meth:`Telemetry.snapshot` (flat JSON metrics),
 :meth:`Telemetry.chrome_trace` (Chrome ``trace_event`` JSON — loads in
@@ -179,10 +185,12 @@ class _Span:
 class Telemetry:
     """Process-wide registry of counters, gauges, histograms and spans.
 
-    Thread-safe; disabled by default.  All mutation is dropped while
-    ``enabled`` is False, so instrumentation can call unconditionally —
-    though hot paths should guard with ``if telemetry.enabled:`` to keep
-    the disabled cost at one attribute check.
+    Thread-safe; disabled by default.  Counters record regardless of
+    ``enabled``; gauges, histograms and spans are dropped while it is
+    False, so instrumentation can call unconditionally — though a path
+    that computes an observed value should guard with
+    ``if telemetry.enabled:`` to keep the disabled cost at one attribute
+    check.
     """
 
     def __init__(self, span_capacity: int = DEFAULT_SPAN_CAPACITY) -> None:
@@ -201,11 +209,13 @@ class Telemetry:
     # -- lifecycle ------------------------------------------------------------------
 
     def enable(self) -> None:
-        """Turn recording on (idempotent; does not clear prior data)."""
+        """Turn gauge, histogram and span recording on (idempotent; does
+        not clear prior data).  Counters record either way."""
         self.enabled = True
 
     def disable(self) -> None:
-        """Turn recording off; recorded data stays readable."""
+        """Turn gauge, histogram and span recording off; recorded data
+        stays readable and counters keep counting."""
         self.enabled = False
 
     def reset(self) -> None:
@@ -223,9 +233,10 @@ class Telemetry:
     # -- scalar metrics -------------------------------------------------------------
 
     def count(self, name: str, amount: float = 1.0) -> None:
-        """Bump a monotonic counter (exact under threaded increments)."""
-        if not self.enabled:
-            return
+        """Bump a monotonic counter (exact under threaded increments).
+
+        Always on: records whether or not the registry is enabled.
+        """
         with self._lock:
             self._counters[name] = self._counters.get(name, 0.0) + amount
 

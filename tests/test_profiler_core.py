@@ -112,15 +112,6 @@ class TestDeepContextProfiler:
         database = run_small_training(engine, profiler, iterations=1)
         assert database.tree.root.inclusive.sum("perf::instructions") > 0
 
-    def test_overhead_statistics(self):
-        engine = EagerEngine("a100")
-        profiler = DeepContextProfiler(engine)
-        run_small_training(engine, profiler, iterations=1)
-        stats = profiler.overhead_statistics()
-        assert stats["cct_nodes"] > 0
-        assert stats["profiler_wall_seconds"] > 0
-        assert 0.0 <= stats["cache_hit_rate"] <= 1.0
-
     def test_jit_mode_profiling(self):
         engine = EagerEngine("a100")
         compiler = JitCompiler(engine)
