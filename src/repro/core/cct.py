@@ -200,13 +200,25 @@ class CallingContextTree:
         The call path's own root frame (kind ``ROOT``) collapses with the tree
         root; remaining frames create or reuse children level by level.
         Returns the leaf node.
+
+        A path from the call-path cache carries a leaf cursor: once it has
+        been walked in this tree, later inserts return the node it reached
+        without walking again.  Nodes are never removed from a live tree, so
+        the cursor stays valid for as long as the cache holds the path.
         """
+        self.insertions += 1
+        cursor = callpath.cursor
+        if cursor is not None:
+            node = cursor.node
+            if node is not None and node.tree is self:
+                return node
         node = self.root
         for frame in callpath:
             if frame.kind == FrameKind.ROOT:
                 continue
             node = node.child_for(frame)
-        self.insertions += 1
+        if cursor is not None:
+            cursor.node = node
         return node
 
     def attribute(self, node: CCTNode, metric: str, value: float) -> None:

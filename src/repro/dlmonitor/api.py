@@ -12,7 +12,7 @@ names (``dlmonitor_init``, ``dlmonitor_callback_register``,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..framework.eager import CallbackInfo, EagerEngine, PHASE_BEFORE
 from ..framework.jit import CompilationEvent, JitCompiler, PHASE_FUSION
@@ -21,7 +21,7 @@ from ..gpu.cupti import GpuTracingApi
 from ..gpu.roctracer import tracing_api_for
 from ..gpu.runtime import ApiCallbackData, ApiPhase
 from ..native.unwinder import Unwinder
-from ..pycontext import capture_user_frames
+from ..pycontext import PyFrame, capture_user_frames
 from .association import ForwardBackwardAssociator, ForwardRecord
 from .audit import CustomDriverInterceptor, LibraryAuditor, parse_interception_config
 from .cache import CachedPrefix, CallPathCache
@@ -68,10 +68,11 @@ class DLMonitor:
 
         self.auditor = LibraryAuditor(engine.address_space)
         self.unwinder = Unwinder(engine.address_space)
-        self.builder = CallPathBuilder(self.auditor, self.unwinder, program_name)
+        self.cache = CallPathCache()
+        self.builder = CallPathBuilder(self.auditor, self.unwinder, program_name,
+                                       cache=self.cache if enable_callpath_cache else None)
         self.shadow_stacks = ShadowStackRegistry()
         self.associator = ForwardBackwardAssociator()
-        self.cache = CallPathCache()
         self.fusion_map = FusionMap()
         self.tracing_api: GpuTracingApi = tracing_api_for(engine.runtime)
         self.stats = DLMonitorStats()
@@ -158,7 +159,7 @@ class DLMonitor:
             if cached_prefix is not None:
                 python_triples = cached_prefix.python_callpath
             else:
-                python_triples = tuple(capture_user_frames(skip=2))
+                python_triples = capture_user_frames(skip=2)
                 self.stats.python_captures += 1
 
         forward_record: Optional[ForwardRecord] = None
@@ -191,7 +192,7 @@ class DLMonitor:
         if info.phase == PHASE_BEFORE:
             python_triples = ()
             if thread.has_python_context:
-                python_triples = tuple(capture_user_frames(skip=2))
+                python_triples = capture_user_frames(skip=2)
                 self.stats.python_captures += 1
             # The operator's dispatch frame is the outermost native frame the
             # framework pushed for this operator (e.g. ``at::_ops::conv2d::call``);
@@ -205,26 +206,32 @@ class DLMonitor:
                 dispatch_pc = native_frames[dispatch_index].pc
             else:
                 dispatch_pc = 0
-            entry = ShadowEntry(
+            scope = tuple(info.scope)
+            context_id = None
+            if self.enable_callpath_cache:
+                context_id = self._context_id(thread, stack.top(), info, dispatch_pc,
+                                              scope, python_triples)
+            stack.push(ShadowEntry(
                 op_name=info.op_name,
                 is_backward=info.is_backward,
                 sequence_id=info.sequence_id,
                 dispatch_pc=dispatch_pc,
                 python_callpath=python_triples,
-                scope=tuple(info.scope),
-            )
-            stack.push(entry)
+                scope=scope,
+                context_id=context_id,
+            ))
             if not info.is_backward:
                 self.associator.record_forward(info.sequence_id, info.op_name, tid,
-                                               python_triples, tuple(info.scope))
+                                               python_triples, scope)
             if self.enable_callpath_cache:
                 self.cache.store(tid, CachedPrefix(
                     op_name=info.op_name,
                     dispatch_pc=dispatch_pc,
                     python_callpath=python_triples,
-                    scope=tuple(info.scope),
+                    scope=scope,
                     is_backward=info.is_backward,
                     sequence_id=info.sequence_id,
+                    context_id=context_id,
                 ))
             self._dispatch_framework(info, PHASE_ENTER)
         else:
@@ -233,6 +240,23 @@ class DLMonitor:
                 stack.pop()
             if self.enable_callpath_cache and stack.depth == 0:
                 self.cache.invalidate(tid)
+
+    def _context_id(self, thread: ThreadContext, enclosing: Optional[ShadowEntry],
+                    info: CallbackInfo, dispatch_pc: int, scope: Tuple[str, ...],
+                    python_triples: Tuple[PyFrame, ...]) -> int:
+        """The interned id of the operator context being entered.
+
+        On a backward thread the path grafts the forward record found
+        through the sequence id, so the key holds that record's content.
+        """
+        grafted = None
+        if thread.kind == THREAD_BACKWARD:
+            record = self.associator.peek(info.sequence_id)
+            if record is not None:
+                grafted = (record.op_name, record.scope, record.python_callpath)
+        return self.cache.context_id((
+            thread.tid, enclosing.context_id if enclosing is not None else None,
+            info.op_name, info.is_backward, dispatch_pc, scope, python_triples, grafted))
 
     def _dispatch_framework(self, info: CallbackInfo, phase: str) -> None:
         self.stats.framework_events += 1
@@ -295,7 +319,7 @@ class DLMonitor:
                 OriginalOperator(
                     op_name=member.op_name,
                     node_id=member.node_id,
-                    compile_time_callpath=tuple(member.compile_time_callpath),
+                    compile_time_callpath=member.compile_time_callpath,
                     scope=tuple(member.scope),
                 )
                 for member in group.members

@@ -64,6 +64,10 @@ class ForwardBackwardAssociator:
             self.hits += 1
         return record
 
+    def peek(self, sequence_id: Optional[int]) -> Optional[ForwardRecord]:
+        """Fetch a forward record without affecting lookup statistics."""
+        return self._records.get(sequence_id) if sequence_id is not None else None
+
     @property
     def size(self) -> int:
         return len(self._records)

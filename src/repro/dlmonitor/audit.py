@@ -61,13 +61,19 @@ class LibraryAuditor:
 
     def __init__(self, address_space: AddressSpace) -> None:
         self.address_space = address_space
+        #: ``is_python_frame_pc`` answers per PC: every unwind asks about the
+        #: same few frames, and library ranges never move or overlap.
+        self._python_pcs: Dict[int, bool] = {}
 
     def loaded_libraries(self) -> List[str]:
         return [library.name for library in self.address_space.libraries]
 
     def is_python_frame_pc(self, pc: int) -> bool:
         """True when a native PC falls inside libpython's address range."""
-        return self.address_space.is_in_library(pc, LIBPYTHON)
+        answer = self._python_pcs.get(pc)
+        if answer is None:
+            answer = self._python_pcs[pc] = self.address_space.is_in_library(pc, LIBPYTHON)
+        return answer
 
     def library_of(self, pc: int) -> Optional[str]:
         return self.address_space.library_of(pc)

@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, List, Optional, Sequence, Tuple
 
+from ..pycontext import clear_path_intern
+
 
 class FrameKind(Enum):
     """Which layer of the software stack a frame belongs to."""
@@ -84,14 +86,33 @@ class Frame:
         return self.label()
 
 
+class LeafCursor:
+    """The calling-context-tree node a cached call path last reached."""
+
+    __slots__ = ("node",)
+
+    def __init__(self) -> None:
+        self.node = None
+
+
 @dataclass(frozen=True)
 class CallPath:
     """An immutable root→leaf sequence of frames."""
 
     frames: Tuple[Frame, ...] = field(default_factory=tuple)
 
+    #: Paths held by the call-path cache carry a :class:`LeafCursor`, so a
+    #: tree re-inserting one jumps straight to its leaf; all other paths share
+    #: this ``None`` and are walked from the root.
+    cursor = None
+
     def __post_init__(self) -> None:
         object.__setattr__(self, "frames", tuple(self.frames))
+
+    def with_cursor(self) -> "CallPath":
+        """Give this path a leaf cursor (done once, when it is cached)."""
+        object.__setattr__(self, "cursor", LeafCursor())
+        return self
 
     # -- construction ------------------------------------------------------------
 
@@ -152,7 +173,10 @@ class CallPath:
 # Distinct frames built during live profiling are bounded by distinct code
 # locations (the same argument that bounds the CCT's size).  Interning makes
 # repeated call-path constructions reuse one Frame object per location, which
-# in turn makes the per-instance identity() memoization hit every time.
+# in turn makes the per-instance identity() memoization hit every time.  The
+# table is keyed by each constructor's arguments, so a repeat costs one small
+# tuple hash rather than building and hashing a Frame; no two constructors
+# build equal frames, so equal frames are still one object.
 # Deserialization and thread frames deliberately do NOT intern (loaded trees
 # build every frame exactly once, and tids are unbounded across sessions);
 # long-lived processes can still call ``clear_frame_intern`` between sessions
@@ -160,13 +184,12 @@ class CallPath:
 _FRAME_INTERN: dict = {}
 
 
-def intern_frame(frame: Frame) -> Frame:
-    """Return the canonical instance for ``frame`` (by field equality)."""
-    cached = _FRAME_INTERN.get(frame)
-    if cached is None:
-        _FRAME_INTERN[frame] = frame
-        return frame
-    return cached
+def _interned(key: Tuple, **fields) -> Frame:
+    """The canonical frame for ``key``, built as ``Frame(**fields)`` on first use."""
+    frame = _FRAME_INTERN.get(key)
+    if frame is None:
+        frame = _FRAME_INTERN[key] = Frame(**fields)
+    return frame
 
 
 def frame_intern_size() -> int:
@@ -175,36 +198,46 @@ def frame_intern_size() -> int:
 
 
 def clear_frame_intern() -> None:
-    """Drop the intern table (safe: interning is an identity optimisation only)."""
+    """Drop the intern tables (safe: interning is an identity optimisation only).
+
+    Also drops the Python-capture tables of :mod:`repro.pycontext`.
+    """
     _FRAME_INTERN.clear()
+    clear_path_intern()
 
 
 # -- frame construction helpers ---------------------------------------------------------
 
 def python_frame(file: str, line: int, function: str) -> Frame:
-    return intern_frame(Frame(kind=FrameKind.PYTHON, name=function, file=file, line=line))
+    return _interned(("python", file, line, function),
+                     kind=FrameKind.PYTHON, name=function, file=file, line=line)
 
 
 def framework_frame(op_name: str, backward: bool = False) -> Frame:
-    return intern_frame(
-        Frame(kind=FrameKind.FRAMEWORK, name=op_name, tag="backward" if backward else ""))
+    tag = "backward" if backward else ""
+    return _interned(("framework", op_name, tag),
+                     kind=FrameKind.FRAMEWORK, name=op_name, tag=tag)
 
 
 def native_frame(function: str, library: str, pc: int = 0) -> Frame:
-    return intern_frame(Frame(kind=FrameKind.NATIVE, name=function, library=library, pc=pc))
+    return _interned(("native", function, library, pc),
+                     kind=FrameKind.NATIVE, name=function, library=library, pc=pc)
 
 
 def gpu_api_frame(api_name: str, library: str = "", pc: int = 0) -> Frame:
-    return intern_frame(Frame(kind=FrameKind.GPU_API, name=api_name, library=library, pc=pc))
+    return _interned(("gpu_api", api_name, library, pc),
+                     kind=FrameKind.GPU_API, name=api_name, library=library, pc=pc)
 
 
 def scope_frame(scope_name: str) -> Frame:
     """A module / semantic scope frame (``loss_fn``, layer names, ...)."""
-    return intern_frame(Frame(kind=FrameKind.FRAMEWORK, name=scope_name, tag="scope"))
+    return _interned(("scope", scope_name),
+                     kind=FrameKind.FRAMEWORK, name=scope_name, tag="scope")
 
 
 def gpu_kernel_frame(kernel_name: str, device: str = "") -> Frame:
-    return intern_frame(Frame(kind=FrameKind.GPU_KERNEL, name=kernel_name, tag=device))
+    return _interned(("gpu_kernel", kernel_name, device),
+                     kind=FrameKind.GPU_KERNEL, name=kernel_name, tag=device)
 
 
 def gpu_instruction_frame(kernel_name: str, pc_offset: int, stall_reason: str) -> Frame:
@@ -221,7 +254,7 @@ def thread_frame(thread_name: str, tid: int) -> Frame:
 
 
 def root_frame(program: str = "program") -> Frame:
-    return intern_frame(Frame(kind=FrameKind.ROOT, name=program))
+    return _interned(("root", program), kind=FrameKind.ROOT, name=program)
 
 
 def python_frames_from_triples(triples: Sequence[Tuple[str, int, str]]) -> List[Frame]:

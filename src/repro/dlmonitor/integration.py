@@ -25,11 +25,11 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..framework.threads import ThreadContext
-from ..native.unwinder import NativeFrame, Unwinder
+from ..native.unwinder import NativeFrame, UnwindCursor, Unwinder
 from ..pycontext import PyFrame
 from .association import ForwardRecord
 from .audit import LibraryAuditor
-from .cache import CachedPrefix
+from .cache import CachedPrefix, CallPathCache
 from .callpath import (
     CallPath,
     Frame,
@@ -71,7 +71,7 @@ class CallPathSources:
         return cls(python=True, framework=False, native=False, gpu=False)
 
 
-@dataclass
+@dataclass(frozen=True)
 class GpuLeafContext:
     """GPU API/kernel information appended at a kernel-launch callback."""
 
@@ -85,10 +85,14 @@ class CallPathBuilder:
     """Builds unified call paths for a thread from the configured sources."""
 
     def __init__(self, auditor: LibraryAuditor, unwinder: Unwinder,
-                 program_name: str = "program") -> None:
+                 program_name: str = "program",
+                 cache: Optional[CallPathCache] = None) -> None:
         self.auditor = auditor
         self.unwinder = unwinder
         self.program_name = program_name
+        #: Where paths built inside an operator context are stored; ``None``
+        #: assembles every path from scratch.
+        self.cache = cache
         self.paths_built = 0
         # The (root, thread) prefix of a thread's paths never changes; frames
         # are immutable, so one shared pair per tid serves every build — this
@@ -105,7 +109,65 @@ class CallPathBuilder:
         cached_prefix: Optional[CachedPrefix] = None,
         forward_record: Optional[ForwardRecord] = None,
     ) -> CallPath:
-        """Assemble the unified call path for ``thread``."""
+        """The unified call path for ``thread``.
+
+        Inside an operator context (the top shadow entry and the cached
+        prefix carry context ids) the path is looked up in the call-path
+        cache under those ids, the native program counters from the launch
+        site up to the cached dispatch frame, the sources and the GPU leaf.
+        A hit returns the path built the first time and charges the unwind
+        steps its key walked; a miss assembles the path and stores it.
+        """
+        self.paths_built += 1
+        top = shadow_stack.top()
+        if (self.cache is None or cached_prefix is None or top is None
+                or top.context_id is None or cached_prefix.context_id is None):
+            return self._assemble(thread, shadow_stack, python_triples, sources,
+                                  gpu_leaf, cached_prefix, forward_record)
+        cursor = None
+        native: Optional[Tuple[int, ...]] = None
+        if sources.native and thread.native_stack.depth:
+            cursor = self.unwinder.cursor(thread.native_stack)
+            native = self._walk_native_suffix(cursor, cached_prefix.dispatch_pc)
+        key = (top.context_id, cached_prefix.context_id, sources, native,
+               gpu_leaf if sources.gpu else None)
+        path = self.cache.cached_path(key)
+        if path is not None:
+            if cursor is not None:
+                self.unwinder.charge(cursor)
+            return path
+        return self.cache.store_path(key, self._assemble(
+            thread, shadow_stack, python_triples, sources, gpu_leaf,
+            cached_prefix, forward_record))
+
+    def _walk_native_suffix(self, cursor: UnwindCursor, stop_pc: int) -> Tuple[int, ...]:
+        """The program counters ``_integrate_native`` would keep, in walk order.
+
+        Takes exactly the steps of the walk in ``_integrate_native``: up to
+        the cached dispatch frame or the libpython boundary.
+        """
+        pcs: List[int] = []
+        is_python_frame_pc = self.auditor.is_python_frame_pc
+        for frame in cursor:
+            pc = frame.pc
+            if is_python_frame_pc(pc):
+                break
+            pcs.append(pc)
+            if pc == stop_pc:
+                break
+        return tuple(pcs)
+
+    def _assemble(
+        self,
+        thread: ThreadContext,
+        shadow_stack: ShadowStack,
+        python_triples: Sequence[PyFrame],
+        sources: CallPathSources,
+        gpu_leaf: Optional[GpuLeafContext],
+        cached_prefix: Optional[CachedPrefix],
+        forward_record: Optional[ForwardRecord],
+    ) -> CallPath:
+        """Assemble the unified call path from every source, from scratch."""
         prefix = self._thread_prefixes.get(thread.tid)
         if prefix is None:
             prefix = (root_frame(self.program_name), thread_frame(thread.name, thread.tid))
@@ -128,8 +190,6 @@ class CallPathBuilder:
             frames.append(gpu_api_frame(gpu_leaf.api_name, library=gpu_leaf.library))
             if gpu_leaf.kernel_name:
                 frames.append(gpu_kernel_frame(gpu_leaf.kernel_name, device=gpu_leaf.device))
-
-        self.paths_built += 1
         return CallPath.of(frames)
 
     # -- parts ---------------------------------------------------------------------

@@ -28,6 +28,9 @@ class ShadowEntry:
     #: Python call path captured when the operator was entered (user frames).
     python_callpath: Tuple[PyFrame, ...] = ()
     scope: Tuple[str, ...] = ()
+    #: Interned id of this operator context (see :mod:`repro.dlmonitor.cache`);
+    #: ``None`` when the call-path cache is off.
+    context_id: Optional[int] = None
 
 
 class ShadowStack:

@@ -16,6 +16,7 @@ baselines keep one event per operator/kernel occurrence.
 
 from __future__ import annotations
 
+import gc
 import statistics
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence
@@ -69,6 +70,10 @@ def measure_overhead(workload_name: str, device: str = "a100", mode: str = MODE_
         walls = []
         last: Optional[RunResult] = None
         for _repeat in range(max(1, repeats)):
+            # Start every timed run from a full collection: otherwise a
+            # collection owed to garbage left by earlier work can land inside
+            # one short run and multiply its wall time.
+            gc.collect()
             workload = create_workload(workload_name, small=small)
             last = run_workload(workload, device=device, mode=mode,
                                 profiler=profiler, iterations=iterations)

@@ -30,7 +30,7 @@ class GraphOperator:
     attrs: Dict[str, Any]
     output: Tensor
     #: Python call path captured while tracing (outermost frame first).
-    compile_time_callpath: List[PyFrame] = field(default_factory=list)
+    compile_time_callpath: Tuple[PyFrame, ...] = ()
     scope: List[str] = field(default_factory=list)
     node_id: int = field(default_factory=lambda: next(_node_ids))
 

@@ -3,7 +3,8 @@
 The end-to-end behaviour is covered in ``test_dlmonitor.py``; these tests
 construct thread states by hand to pin down the individual integration rules:
 the libpython boundary, operator insertion under the matching native frame,
-the cached-prefix early stop, backward-thread grafting and source selection.
+the cached-prefix early stop, backward-thread grafting, source selection and
+the cached paths of repeated operator contexts.
 """
 
 import pytest
@@ -11,7 +12,7 @@ import pytest
 from repro.cpu.clock import MachineClock
 from repro.dlmonitor.association import ForwardRecord
 from repro.dlmonitor.audit import LibraryAuditor
-from repro.dlmonitor.cache import CachedPrefix
+from repro.dlmonitor.cache import CachedPrefix, CallPathCache
 from repro.dlmonitor.callpath import FrameKind
 from repro.dlmonitor.integration import CallPathBuilder, CallPathSources, GpuLeafContext
 from repro.dlmonitor.shadow_stack import ShadowEntry, ShadowStack
@@ -173,3 +174,124 @@ class TestIntegrationRules:
         before = builder.paths_built
         builder.build(thread, ShadowStack(), (), CallPathSources.python_only())
         assert builder.paths_built == before + 1
+
+
+def _cached_builder(space):
+    return CallPathBuilder(LibraryAuditor(space), Unwinder(space), "unit", cache=CallPathCache())
+
+
+def _scratch_builder(space):
+    return CallPathBuilder(LibraryAuditor(space), Unwinder(space), "unit")
+
+
+def _prefix_of(entry):
+    return CachedPrefix(op_name=entry.op_name, dispatch_pc=entry.dispatch_pc,
+                        python_callpath=entry.python_callpath, scope=entry.scope,
+                        is_backward=entry.is_backward, sequence_id=entry.sequence_id,
+                        context_id=entry.context_id)
+
+
+class TestCachedPaths:
+    """Paths built inside an operator context come from the call-path cache."""
+
+    def _nested_shadow(self, thread):
+        """``aten::conv2d`` (id 0) with ``aten::cudnn_convolution`` (id 1) inside it."""
+        frames = thread.native_stack.frames
+        stack = ShadowStack()
+        for context_id, (op_name, dispatch) in enumerate((
+                ("aten::conv2d", frames[2]), ("aten::cudnn_convolution", frames[3]))):
+            stack.push(ShadowEntry(op_name=op_name, is_backward=False, sequence_id=context_id,
+                                   dispatch_pc=dispatch.pc, python_callpath=PYTHON_TRIPLES,
+                                   scope=("net", "conv1"), context_id=context_id))
+        return stack
+
+    def _build(self, builder, thread, shadow, prefix, **kwargs):
+        before = builder.unwinder.steps
+        path = builder.build(thread, shadow, prefix.python_callpath, CallPathSources.all(),
+                             gpu_leaf=GpuLeafContext("cudaLaunchKernel", "conv_kernel"),
+                             cached_prefix=prefix, **kwargs)
+        return path, builder.unwinder.steps - before
+
+    def test_nested_operator_hit_returns_the_first_path(self, setup):
+        space, thread, builder = setup
+        shadow = self._nested_shadow(thread)
+        prefix = _prefix_of(shadow.top())
+        cached = _cached_builder(space)
+        first, miss_steps = self._build(cached, thread, shadow, prefix)
+        again, hit_steps = self._build(cached, thread, shadow, prefix)
+        scratch, scratch_steps = self._build(_scratch_builder(space), thread, shadow, prefix)
+        assert again is first and first == scratch
+        assert cached.cache.path_hits == 1 and cached.cache.path_misses == 1
+        assert [frame.name for frame in first.frames_of_kind(FrameKind.FRAMEWORK)] == [
+            "net", "conv1", "aten::conv2d", "aten::cudnn_convolution"]
+        # Launch site up to the inner dispatch frame: cudaLaunchKernel, cudnn_convolution.
+        assert miss_steps == hit_steps == scratch_steps == 2
+
+    def test_hit_charges_the_steps_it_walked(self, setup, monkeypatch):
+        space, thread, _builder = setup
+        shadow = self._nested_shadow(thread)
+        prefix = _prefix_of(shadow.top())
+        cached = _cached_builder(space)
+        charged = []
+        original = Unwinder.charge
+
+        def recording(unwinder, cursor):
+            charged.append(cursor.steps)
+            original(unwinder, cursor)
+
+        monkeypatch.setattr(Unwinder, "charge", recording)
+        for _ in range(3):
+            self._build(cached, thread, shadow, prefix)
+        assert cached.cache.path_hits == 2
+        # One charge per build, miss or hit, each the two frames walked.
+        assert charged == [2, 2, 2] and cached.unwinder.steps == 6
+
+    def test_prefix_left_by_an_exited_inner_operator_keys_the_path(self, setup):
+        space, thread, _builder = setup
+        shadow = self._nested_shadow(thread)
+        inner_prefix = _prefix_of(shadow.top())
+        shadow.pop()  # the inner operator exits; its prefix stays cached
+        cached = _cached_builder(space)
+        stale, stale_steps = self._build(cached, thread, shadow, inner_prefix)
+        outer, outer_steps = self._build(cached, thread, shadow, _prefix_of(shadow.top()))
+        assert stale is not outer
+        for prefix, path, steps in ((inner_prefix, stale, stale_steps),
+                                    (_prefix_of(shadow.top()), outer, outer_steps)):
+            scratch, scratch_steps = self._build(_scratch_builder(space), thread, shadow, prefix)
+            assert path == scratch and steps == scratch_steps
+            assert self._build(cached, thread, shadow, prefix) == (path, steps)
+
+    def test_backward_thread_hit_grafts_the_forward_record(self, setup):
+        space, _main, _builder = setup
+        registry = ThreadRegistry(MachineClock())
+        backward = registry.create("backward-0", kind=THREAD_BACKWARD)
+        for library, name in ((LIBTORCH_CUDA, "autograd::engine::evaluate_function"),
+                              (LIBCUDART, "cudaLaunchKernel")):
+            backward.native_stack.push(space.add_symbol(library, name))
+        shadow = ShadowStack()
+        shadow.push(ShadowEntry(op_name="aten::index", is_backward=True, sequence_id=9,
+                                dispatch_pc=backward.native_stack.frames[0].pc,
+                                python_callpath=(), scope=(), context_id=0))
+        record = ForwardRecord(sequence_id=9, op_name="aten::index", thread_tid=1,
+                               python_callpath=(("dlrm.py", 33, "forward"),),
+                               scope=("table0",))
+        prefix = _prefix_of(shadow.top())
+        cached = _cached_builder(space)
+        first, miss_steps = self._build(cached, backward, shadow, prefix, forward_record=record)
+        again, hit_steps = self._build(cached, backward, shadow, prefix, forward_record=record)
+        scratch, scratch_steps = self._build(_scratch_builder(space), backward, shadow, prefix,
+                                             forward_record=record)
+        assert again is first and first == scratch
+        assert [frame.file for frame in first.frames_of_kind(FrameKind.PYTHON)] == ["dlrm.py"]
+        assert miss_steps == hit_steps == scratch_steps == 2
+
+    def test_entries_without_context_ids_are_not_cached(self, setup):
+        space, thread, _builder = setup
+        shadow = _shadow_for(thread)
+        prefix = _prefix_of(shadow.top())
+        cached = _cached_builder(space)
+        first, _ = self._build(cached, thread, shadow, prefix)
+        again, _ = self._build(cached, thread, shadow, prefix)
+        assert again is not first and again == first
+        assert first.cursor is None
+        assert cached.cache.size == 0 and cached.cache.path_misses == 0
