@@ -7,7 +7,11 @@ Two gates for the live-monitoring layer:
   polling **8 live runs** that brought no new seal must cost the steady-state
   loop at most **1.05x** — an idle poll is one ``stat`` plus a 256-byte tail
   read per run (the :meth:`LazyProfileView.refresh` fast path), so following
-  a fleet cannot tax the producers it follows;
+  a fleet cannot tax the producers it follows.  Bare and polled passes run
+  as alternating pairs, each from a full collection, and the gate reads the
+  median of the per-pair ratios: the two passes of a pair share the
+  machine's momentary speed, so load from other processes cancels inside
+  the pair, and the median discards the pairs a preemption split;
 * **dashboards never open profiles**: rendering the fleet dashboard over a
   **64-run** indexed store (plus a health time-series and an issue log) must
   answer entirely from the catalog, the fleet query index and the JSONL
@@ -22,7 +26,9 @@ Run standalone with::
 
 from __future__ import annotations
 
+import gc
 import json
+import statistics
 import time
 
 import pytest
@@ -54,6 +60,8 @@ OPERATORS = 25
 KERNELS = 4
 LIVE_RUNS = 8
 MAX_POLL_OVERHEAD = 1.05
+#: Alternating bare/polled pairs timed (odd: a true median).
+PAIRS = 31
 
 STORE_RUNS = 64
 STORE_STEPS = 25
@@ -115,6 +123,23 @@ def timed(func):
     return time.perf_counter() - start, result
 
 
+def timed_pairs(bare, polled):
+    """Seconds of each bare and each polled pass, over alternating pairs.
+
+    The order inside a pair flips every pair, so neither side always runs
+    on the warmer cache, and every pass starts from a full collection, so
+    the cyclic collector's expensive full passes cannot phase-lock onto one
+    side of the alternation.
+    """
+    seconds = {bare: [], polled: []}
+    for pair in range(PAIRS):
+        for run in ((bare, polled) if pair % 2 == 0 else (polled, bare)):
+            gc.collect()
+            elapsed, _ = timed(run)
+            seconds[run].append(elapsed)
+    return seconds[bare], seconds[polled]
+
+
 def best_of(trials: int, func):
     best, result = float("inf"), None
     for _trial in range(trials):
@@ -164,23 +189,27 @@ class TestIdleWatcherOverhead:
             assert tick.advanced == []  # the fleet really was idle
             return stats
 
-        bare_seconds, stats = best_of(5, reseal)
-        assert stats.dirty_shards == 1
-        polled_seconds, _ = best_of(5, reseal_while_polling)
+        assert reseal().dirty_shards == 1  # warm, outside the timing
+        reseal_while_polling()
+        bare_passes, polled_passes = timed_pairs(reseal, reseal_while_polling)
         watcher.close()
         writer.close()
         for live_writer in fleet_writers:
             live_writer.close()
 
-        overhead = polled_seconds / bare_seconds
+        overhead = statistics.median(
+            polled / bare for bare, polled in zip(bare_passes, polled_passes))
+        bare_seconds = statistics.median(bare_passes)
+        polled_seconds = statistics.median(polled_passes)
         once(lambda: None)  # record the run under pytest-benchmark
         print_block(
             f"idle watcher poll over {LIVE_RUNS} live runs riding the "
             f"streaming-checkpoint loop ({tree.stored_node_count()} nodes)",
             json.dumps({
                 "live_runs": LIVE_RUNS,
-                "checkpoint_s": bare_seconds,
-                "checkpoint_plus_poll_s": polled_seconds,
+                "pairs": PAIRS,
+                "checkpoint_s_median": bare_seconds,
+                "checkpoint_plus_poll_s_median": polled_seconds,
                 "overhead_x": overhead,
                 "poll_cost_ms": (polled_seconds - bare_seconds) * 1e3,
             }, indent=2))
@@ -188,8 +217,8 @@ class TestIdleWatcherOverhead:
         assert overhead <= MAX_POLL_OVERHEAD, (
             f"an idle watcher poll over {LIVE_RUNS} live runs must cost the "
             f"steady-state checkpoint loop at most {MAX_POLL_OVERHEAD}x, "
-            f"got {overhead:.3f}x ({bare_seconds * 1e3:.2f} ms -> "
-            f"{polled_seconds * 1e3:.2f} ms)")
+            f"got a median per-pair ratio of {overhead:.3f}x (medians "
+            f"{bare_seconds * 1e3:.2f} ms -> {polled_seconds * 1e3:.2f} ms)")
 
 
 class TestDashboardFromIndex:

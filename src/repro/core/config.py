@@ -36,11 +36,6 @@ class ProfilerConfig:
     pc_sampling: bool = False
     #: Instruction-sampling period in microseconds.
     pc_sample_period_us: float = 2.0
-    #: Enable DLMonitor's call-path cache.
-    callpath_cache: bool = True
-    #: Collect into per-thread CCT shards merged lazily at query time
-    #: (contention-free attribution); off = one shared tree for every thread.
-    sharded_cct: bool = True
     #: Extra coarse GPU metrics (blocks, registers, shared memory, ...).
     gpu_launch_metrics: bool = True
     #: Perf-event counters to collect (names from :mod:`repro.cpu.perf_events`).

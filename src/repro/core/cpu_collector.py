@@ -8,14 +8,14 @@ perf events / PAPI are derived from the same sampling stream.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional
 
 from ..cpu.perf_events import PerfEventGroup
 from ..cpu.sampler import CPU_TIME, REAL_TIME, IntervalSampler, Sample
 from ..dlmonitor.api import DLMonitor
 from ..framework.eager import EagerEngine
 from ..framework.threads import ThreadContext
-from .cct import CallingContextTree, ShardedCallingContextTree
+from .cct import ShardedCallingContextTree
 from .config import ProfilerConfig
 from . import metrics as M
 
@@ -23,13 +23,12 @@ from . import metrics as M
 class CpuMetricCollector:
     """Samples CPU_TIME / REAL_TIME on every thread and attributes the intervals.
 
-    With a :class:`~repro.core.cct.ShardedCallingContextTree` each sample is
-    attributed into the private shard of the thread whose timer fired, so
-    samplers on different threads never touch shared tree state.
+    Each sample is attributed into the private shard of the thread whose
+    timer fired, so samplers on different threads never touch shared tree
+    state.
     """
 
-    def __init__(self, monitor: DLMonitor,
-                 tree: Union[CallingContextTree, ShardedCallingContextTree],
+    def __init__(self, monitor: DLMonitor, tree: ShardedCallingContextTree,
                  engine: EagerEngine, config: ProfilerConfig) -> None:
         self.monitor = monitor
         self.tree = tree
@@ -89,9 +88,7 @@ class CpuMetricCollector:
         into the leaf with one ``attribute_many`` call.
         """
         callpath = self.monitor.callpath_get(sources=self._sources, thread=thread)
-        tree = self.tree
-        if isinstance(tree, ShardedCallingContextTree):
-            tree = tree.shard_for(thread)
+        tree = self.tree.shard_for(thread)
         node = tree.insert(callpath)
         metric = M.METRIC_CPU_TIME if sample.event == CPU_TIME else M.METRIC_REAL_TIME
         metrics = {metric: sample.interval}

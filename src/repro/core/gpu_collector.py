@@ -7,8 +7,8 @@ measurements (kernel durations, launch configurations, instruction samples)
 arrive later through asynchronous activity buffers and are linked back to
 their nodes through the correlation registry (paper §4.2, "GPU Metrics").
 
-With a :class:`~repro.core.cct.ShardedCallingContextTree` the collector
-attributes into the private shard of the *launching* thread: the call path is
+The collector attributes into the *launching* thread's private shard of the
+:class:`~repro.core.cct.ShardedCallingContextTree`: the call path is
 inserted into that shard at the launch callback, and because every CCT node
 carries a back-reference to its owning tree, asynchronous deliveries
 (activity records, instruction samples) are folded into the correct shard
@@ -27,7 +27,7 @@ dropping late samples as "unresolved".
 
 from __future__ import annotations
 
-from typing import List, Optional, Union
+from typing import List, Optional
 
 from ..dlmonitor.api import DLMonitor
 from ..dlmonitor.callpath import gpu_instruction_frame
@@ -43,8 +43,7 @@ from . import metrics as M
 class GpuMetricCollector:
     """Collects coarse and fine-grained GPU metrics into the CCT."""
 
-    def __init__(self, monitor: DLMonitor,
-                 tree: Union[CallingContextTree, ShardedCallingContextTree],
+    def __init__(self, monitor: DLMonitor, tree: ShardedCallingContextTree,
                  correlations: CorrelationRegistry, config: ProfilerConfig) -> None:
         self.monitor = monitor
         self.tree = tree
@@ -98,14 +97,11 @@ class GpuMetricCollector:
     # -- shard routing ----------------------------------------------------------
 
     def _shard_for_tid(self, tid: int) -> CallingContextTree:
-        """The launching thread's shard (the tree itself when unsharded)."""
-        tree = self.tree
-        if not isinstance(tree, ShardedCallingContextTree):
-            return tree
+        """The launching thread's shard."""
         thread = self._threads.find(tid)
         if thread is not None:
-            return tree.shard_for(thread)
-        return tree.shard_for_tid(tid)
+            return self.tree.shard_for(thread)
+        return self.tree.shard_for_tid(tid)
 
     # -- callbacks ------------------------------------------------------------------
 

@@ -27,7 +27,7 @@ from typing import Dict, Optional
 from ..dlmonitor.api import DLMonitor, dlmonitor_init
 from ..framework.eager import EagerEngine
 from ..framework.jit import JitCompiler
-from .cct import CallingContextTree, ShardedCallingContextTree
+from .cct import ShardedCallingContextTree
 from .config import ProfilerConfig
 from .correlation import CorrelationRegistry
 from .cpu_collector import CpuMetricCollector
@@ -46,12 +46,10 @@ class DeepContextProfiler:
         self.config = config if config is not None else ProfilerConfig()
         self.jit_compiler = jit_compiler
         self.monitor: Optional[DLMonitor] = None
-        # Sharded collection (the default) gives every simulated thread its
-        # own contention-free CCT shard; queries and the profile database see
-        # the lazily merged union through the same tree API.
-        self.tree = (ShardedCallingContextTree(self.config.program_name)
-                     if self.config.sharded_cct
-                     else CallingContextTree(self.config.program_name))
+        # Every simulated thread collects into its own contention-free CCT
+        # shard; queries and the profile database see the lazily merged
+        # union through the same tree API.
+        self.tree = ShardedCallingContextTree(self.config.program_name)
         self.correlations = CorrelationRegistry()
         self.gpu_collector: Optional[GpuMetricCollector] = None
         self.cpu_collector: Optional[CpuMetricCollector] = None
@@ -76,7 +74,6 @@ class DeepContextProfiler:
             self.engine,
             jit_compiler=self.jit_compiler,
             program_name=self.config.program_name,
-            enable_callpath_cache=self.config.callpath_cache,
         )
         if self.config.collect_gpu:
             self.gpu_collector = GpuMetricCollector(self.monitor, self.tree,
@@ -232,8 +229,6 @@ class DeepContextProfiler:
             "collect_cpu_time": self.config.collect_cpu_time,
             "cpu_sample_period": self.config.cpu_sample_period,
             "pc_sampling": self.config.pc_sampling,
-            "callpath_cache": self.config.callpath_cache,
-            "sharded_cct": self.config.sharded_cct,
             "profile_format": self.config.profile_format,
             "profile_compression": self.config.profile_compression,
             "checkpoint_interval_s": self.config.checkpoint_interval_s,

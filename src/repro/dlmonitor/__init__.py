@@ -15,7 +15,7 @@ from .audit import (
     LibraryAuditor,
     parse_interception_config,
 )
-from .cache import CachedPrefix, CallPathCache
+from .cache import CallPathCache
 from .callpath import (
     CallPath,
     Frame,
@@ -60,7 +60,6 @@ __all__ = [
     "DriverFunctionConfig",
     "parse_interception_config",
     "CallPathCache",
-    "CachedPrefix",
     "CallPath",
     "Frame",
     "FrameKind",

@@ -24,7 +24,7 @@ from ..native.unwinder import Unwinder
 from ..pycontext import PyFrame, capture_user_frames
 from .association import ForwardBackwardAssociator, ForwardRecord
 from .audit import CustomDriverInterceptor, LibraryAuditor, parse_interception_config
-from .cache import CachedPrefix, CallPathCache
+from .cache import CallPathCache
 from .callpath import CallPath
 from .domains import (
     DLMONITOR_FRAMEWORK,
@@ -59,18 +59,17 @@ class DLMonitor:
     """The shim layer between the profiler and the (simulated) framework."""
 
     def __init__(self, engine: EagerEngine, jit_compiler: Optional[JitCompiler] = None,
-                 program_name: str = "program", enable_callpath_cache: bool = True,
+                 program_name: str = "program",
                  interception_config: Optional[Dict[str, object]] = None) -> None:
         self.engine = engine
         self.jit_compiler = jit_compiler
         self.program_name = program_name
-        self.enable_callpath_cache = enable_callpath_cache
 
         self.auditor = LibraryAuditor(engine.address_space)
         self.unwinder = Unwinder(engine.address_space)
         self.cache = CallPathCache()
         self.builder = CallPathBuilder(self.auditor, self.unwinder, program_name,
-                                       cache=self.cache if enable_callpath_cache else None)
+                                       cache=self.cache)
         self.shadow_stacks = ShadowStackRegistry()
         self.associator = ForwardBackwardAssociator()
         self.fusion_map = FusionMap()
@@ -149,24 +148,25 @@ class DLMonitor:
         thread = thread if thread is not None else self.engine.threads.current
         tid = thread.tid
         stack = self.shadow_stacks.for_thread(tid)
-
-        cached_prefix: Optional[CachedPrefix] = None
-        if self.enable_callpath_cache:
-            cached_prefix = self.cache.lookup(tid)
+        # The operator executing on this thread: its entry holds the Python
+        # path captured when it was entered.
+        top = stack.top()
+        if top is not None:
+            self.cache.hits += 1
+        else:
+            self.cache.misses += 1
 
         python_triples = ()
         if sources.python and thread.has_python_context:
-            if cached_prefix is not None:
-                python_triples = cached_prefix.python_callpath
+            if top is not None:
+                python_triples = top.python_callpath
             else:
                 python_triples = capture_user_frames(skip=2)
                 self.stats.python_captures += 1
 
         forward_record: Optional[ForwardRecord] = None
-        if thread.kind == THREAD_BACKWARD:
-            top = stack.top()
-            if top is not None:
-                forward_record = self.associator.lookup(top.sequence_id)
+        if thread.kind == THREAD_BACKWARD and top is not None:
+            forward_record = self.associator.lookup(top.sequence_id)
 
         gpu_leaf = self._gpu_leaf.get(tid) if sources.gpu else None
 
@@ -176,7 +176,6 @@ class DLMonitor:
             python_triples=python_triples,
             sources=sources,
             gpu_leaf=gpu_leaf,
-            cached_prefix=cached_prefix,
             forward_record=forward_record,
         )
         self.stats.callpaths_built += 1
@@ -207,10 +206,8 @@ class DLMonitor:
             else:
                 dispatch_pc = 0
             scope = tuple(info.scope)
-            context_id = None
-            if self.enable_callpath_cache:
-                context_id = self._context_id(thread, stack.top(), info, dispatch_pc,
-                                              scope, python_triples)
+            context_id = self._context_id(thread, stack.top(), info, dispatch_pc,
+                                          scope, python_triples)
             stack.push(ShadowEntry(
                 op_name=info.op_name,
                 is_backward=info.is_backward,
@@ -223,23 +220,11 @@ class DLMonitor:
             if not info.is_backward:
                 self.associator.record_forward(info.sequence_id, info.op_name, tid,
                                                python_triples, scope)
-            if self.enable_callpath_cache:
-                self.cache.store(tid, CachedPrefix(
-                    op_name=info.op_name,
-                    dispatch_pc=dispatch_pc,
-                    python_callpath=python_triples,
-                    scope=scope,
-                    is_backward=info.is_backward,
-                    sequence_id=info.sequence_id,
-                    context_id=context_id,
-                ))
             self._dispatch_framework(info, PHASE_ENTER)
         else:
             self._dispatch_framework(info, PHASE_EXIT)
             if stack.depth:
                 stack.pop()
-            if self.enable_callpath_cache and stack.depth == 0:
-                self.cache.invalidate(tid)
 
     def _context_id(self, thread: ThreadContext, enclosing: Optional[ShadowEntry],
                     info: CallbackInfo, dispatch_pc: int, scope: Tuple[str, ...],
@@ -345,11 +330,10 @@ class DLMonitor:
 # ---------------------------------------------------------------------------
 
 def dlmonitor_init(engine: EagerEngine, jit_compiler: Optional[JitCompiler] = None,
-                   program_name: str = "program", enable_callpath_cache: bool = True,
+                   program_name: str = "program",
                    interception_config: Optional[Dict[str, object]] = None) -> DLMonitor:
     """Initialise DLMonitor's shared library (the ``LD_PRELOAD`` entry point)."""
     monitor = DLMonitor(engine, jit_compiler=jit_compiler, program_name=program_name,
-                        enable_callpath_cache=enable_callpath_cache,
                         interception_config=interception_config)
     return monitor.init()
 

@@ -2,12 +2,13 @@
 
 Many deep-learning operators launch several GPU kernels that share the same
 Python and operator call path, and a training loop repeats the same operator
-contexts every iteration.  DLMonitor caches at three levels, all per session:
+contexts every iteration.  The operator currently executing on a thread is
+the top entry of its shadow stack: it holds the Python call path and
+dispatch address captured when the operator was entered, so a GPU API
+callback or CPU sample inside it reuses that Python path instead of
+capturing Python again, and native unwinding stops at its dispatch frame.
+On top of that, DLMonitor caches at two levels, both per session:
 
-* **Cached prefix.**  Per thread, the Python call path and dispatch address
-  captured when the current operator was entered.  GPU API callbacks reuse
-  the prefix instead of capturing Python again, and native unwinding stops
-  at the cached dispatch frame.
 * **Context ids.**  Each operator pushed on a shadow stack gets a small
   interned integer naming its whole operator context: thread, enclosing
   operator's id, operator name, backward flag, dispatch address, scope and
@@ -15,86 +16,40 @@ contexts every iteration.  DLMonitor caches at three levels, all per session:
   grafted forward record (operator, scope, Python path), never its sequence
   id, which is unique per call and would make every key new.
 * **Cached paths.**  A call path built inside an operator context is stored
-  under the context id of the top entry and of the cached prefix, the
-  native program counters walked from the launch site up to the cached
-  dispatch frame, the sources and the GPU API/kernel leaf.  Those inputs
-  determine the path completely, so a later build with the same key returns
-  the stored :class:`CallPath` itself.  Each stored path carries a leaf
-  cursor, so a calling context tree re-inserting it jumps straight to the
-  leaf node it reached the first time.
+  under the top entry's context id, the native program counters walked from
+  the launch site up to that entry's dispatch frame, the sources and the
+  GPU API/kernel leaf.  Those inputs determine the path completely, so a
+  later build with the same key returns the stored :class:`CallPath`
+  itself.  Each stored path carries a leaf cursor, so a calling context
+  tree re-inserting it jumps straight to the leaf node it reached the first
+  time.
 
-Nothing here grows per launch: context ids are bounded by distinct operator
-contexts and cached paths by distinct launch contexts — the same argument
-that bounds the size of the calling context tree.  Paths built outside any
-operator context are never stored.  ``DLMonitor.finalize`` drops everything.
+``hits`` and ``misses`` count ``callpath_get`` requests made inside and
+outside an operator context; ``path_hits`` and ``path_misses`` count cached
+path lookups.  Nothing here grows per launch: context ids are bounded by
+distinct operator contexts and cached paths by distinct launch contexts —
+the same argument that bounds the size of the calling context tree.  Paths
+built outside any operator context are never stored.
+``DLMonitor.finalize`` drops everything.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Hashable, Optional, Tuple
+from typing import Dict, Hashable, Optional
 
-from ..pycontext import PyFrame
 from .callpath import CallPath
 
 
-@dataclass
-class CachedPrefix:
-    """The cached context of the operator currently executing on a thread."""
-
-    op_name: str
-    dispatch_pc: int
-    python_callpath: Tuple[PyFrame, ...]
-    scope: Tuple[str, ...]
-    is_backward: bool = False
-    sequence_id: Optional[int] = None
-    #: The operator context id of the shadow entry this prefix was taken at.
-    context_id: Optional[int] = None
-
-
 class CallPathCache:
-    """Per-thread prefixes, interned operator context ids and cached paths."""
+    """Interned operator context ids and cached paths."""
 
     def __init__(self) -> None:
-        self._by_thread: Dict[int, CachedPrefix] = {}
         self._context_ids: Dict[Hashable, int] = {}
         self._paths: Dict[Hashable, CallPath] = {}
         self.hits = 0
         self.misses = 0
-        self.invalidations = 0
         self.path_hits = 0
         self.path_misses = 0
-
-    # -- per-thread prefix ----------------------------------------------------------
-
-    def store(self, tid: int, prefix: CachedPrefix) -> None:
-        """Cache the prefix for a thread (called when an operator is entered)."""
-        self._by_thread[tid] = prefix
-
-    def lookup(self, tid: int) -> Optional[CachedPrefix]:
-        prefix = self._by_thread.get(tid)
-        if prefix is not None:
-            self.hits += 1
-        else:
-            self.misses += 1
-        return prefix
-
-    def peek(self, tid: int) -> Optional[CachedPrefix]:
-        """Look without affecting hit/miss statistics."""
-        return self._by_thread.get(tid)
-
-    def invalidate(self, tid: int) -> None:
-        """Drop the cached prefix (called when the operator exits)."""
-        if tid in self._by_thread:
-            del self._by_thread[tid]
-            self.invalidations += 1
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    # -- operator contexts and paths --------------------------------------------------
 
     def context_id(self, key: Hashable) -> int:
         """The interned id of an operator context (assigned on first sight)."""
@@ -123,6 +78,5 @@ class CallPathCache:
         return len(self._context_ids) + len(self._paths)
 
     def clear(self) -> None:
-        self._by_thread.clear()
         self._context_ids.clear()
         self._paths.clear()

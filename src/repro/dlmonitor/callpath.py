@@ -50,8 +50,8 @@ class Frame:
         """The key used to collapse equal frames in the calling context tree.
 
         Computed once per frame instance and memoized — ``child_for`` calls it
-        on every level of every inserted call path, and interned frames (see
-        :func:`intern_frame`) make the cache hit rate approach 100%.
+        on every level of every inserted call path, and frames interned by
+        their constructor arguments make the cache hit rate approach 100%.
         """
         cached = self.__dict__.get("_identity")
         if cached is None:
@@ -190,11 +190,6 @@ def _interned(key: Tuple, **fields) -> Frame:
     if frame is None:
         frame = _FRAME_INTERN[key] = Frame(**fields)
     return frame
-
-
-def frame_intern_size() -> int:
-    """Number of frames currently pinned by the intern table."""
-    return len(_FRAME_INTERN)
 
 
 def clear_frame_intern() -> None:

@@ -60,13 +60,3 @@ class GpuEvent:
     bytes: float = 0.0
     kind: str = ""
     thread_tid: int = 0
-
-
-@dataclass
-class CompilationInfo:
-    """Details of a JIT compilation event (JAX-style graph compilation)."""
-
-    graph_name: str
-    phase: str
-    num_operators: int
-    num_fused_groups: int

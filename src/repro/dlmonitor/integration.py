@@ -29,7 +29,7 @@ from ..native.unwinder import NativeFrame, UnwindCursor, Unwinder
 from ..pycontext import PyFrame
 from .association import ForwardRecord
 from .audit import LibraryAuditor
-from .cache import CachedPrefix, CallPathCache
+from .cache import CallPathCache
 from .callpath import (
     CallPath,
     Frame,
@@ -42,7 +42,7 @@ from .callpath import (
     root_frame,
     thread_frame,
 )
-from .shadow_stack import ShadowStack
+from .shadow_stack import ShadowEntry, ShadowStack
 
 
 @dataclass(frozen=True)
@@ -106,45 +106,41 @@ class CallPathBuilder:
         python_triples: Sequence[PyFrame],
         sources: CallPathSources,
         gpu_leaf: Optional[GpuLeafContext] = None,
-        cached_prefix: Optional[CachedPrefix] = None,
         forward_record: Optional[ForwardRecord] = None,
     ) -> CallPath:
         """The unified call path for ``thread``.
 
-        Inside an operator context (the top shadow entry and the cached
-        prefix carry context ids) the path is looked up in the call-path
-        cache under those ids, the native program counters from the launch
-        site up to the cached dispatch frame, the sources and the GPU leaf.
-        A hit returns the path built the first time and charges the unwind
-        steps its key walked; a miss assembles the path and stores it.
+        Inside an operator context (the top shadow entry carries a context
+        id) the path is looked up in the call-path cache under that id, the
+        native program counters from the launch site up to the entry's
+        dispatch frame, the sources and the GPU leaf.  A hit returns the
+        path built the first time and charges the unwind steps its key
+        walked; a miss assembles the path and stores it.
         """
         self.paths_built += 1
         top = shadow_stack.top()
-        if (self.cache is None or cached_prefix is None or top is None
-                or top.context_id is None or cached_prefix.context_id is None):
+        if self.cache is None or top is None or top.context_id is None:
             return self._assemble(thread, shadow_stack, python_triples, sources,
-                                  gpu_leaf, cached_prefix, forward_record)
+                                  gpu_leaf, forward_record)
         cursor = None
         native: Optional[Tuple[int, ...]] = None
         if sources.native and thread.native_stack.depth:
             cursor = self.unwinder.cursor(thread.native_stack)
-            native = self._walk_native_suffix(cursor, cached_prefix.dispatch_pc)
-        key = (top.context_id, cached_prefix.context_id, sources, native,
-               gpu_leaf if sources.gpu else None)
+            native = self._walk_native_suffix(cursor, top.dispatch_pc)
+        key = (top.context_id, sources, native, gpu_leaf if sources.gpu else None)
         path = self.cache.cached_path(key)
         if path is not None:
             if cursor is not None:
                 self.unwinder.charge(cursor)
             return path
         return self.cache.store_path(key, self._assemble(
-            thread, shadow_stack, python_triples, sources, gpu_leaf,
-            cached_prefix, forward_record))
+            thread, shadow_stack, python_triples, sources, gpu_leaf, forward_record))
 
     def _walk_native_suffix(self, cursor: UnwindCursor, stop_pc: int) -> Tuple[int, ...]:
         """The program counters ``_integrate_native`` would keep, in walk order.
 
         Takes exactly the steps of the walk in ``_integrate_native``: up to
-        the cached dispatch frame or the libpython boundary.
+        the top operator's dispatch frame or the libpython boundary.
         """
         pcs: List[int] = []
         is_python_frame_pc = self.auditor.is_python_frame_pc
@@ -164,7 +160,6 @@ class CallPathBuilder:
         python_triples: Sequence[PyFrame],
         sources: CallPathSources,
         gpu_leaf: Optional[GpuLeafContext],
-        cached_prefix: Optional[CachedPrefix],
         forward_record: Optional[ForwardRecord],
     ) -> CallPath:
         """Assemble the unified call path from every source, from scratch."""
@@ -174,13 +169,14 @@ class CallPathBuilder:
             self._thread_prefixes[thread.tid] = prefix
         frames: List[Frame] = list(prefix)
 
-        python_part = self._python_part(thread, python_triples, sources,
-                                         cached_prefix, forward_record)
+        top = shadow_stack.top()
+        python_part = self._python_part(thread, python_triples, sources, top, forward_record)
         framework_part = self._framework_part(shadow_stack, sources, forward_record)
 
         if sources.native and thread.native_stack.depth:
+            stop_pc = top.dispatch_pc if top is not None else None
             frames.extend(self._integrate_native(thread, shadow_stack, python_part,
-                                                 framework_part, cached_prefix,
+                                                 framework_part, stop_pc,
                                                  include_operators=sources.framework))
         else:
             frames.extend(python_part)
@@ -195,14 +191,14 @@ class CallPathBuilder:
     # -- parts ---------------------------------------------------------------------
 
     def _python_part(self, thread: ThreadContext, python_triples: Sequence[PyFrame],
-                     sources: CallPathSources, cached_prefix: Optional[CachedPrefix],
+                     sources: CallPathSources, top: Optional[ShadowEntry],
                      forward_record: Optional[ForwardRecord]) -> List[Frame]:
         if not sources.python:
             return []
         if thread.has_python_context:
             triples = tuple(python_triples)
-            if not triples and cached_prefix is not None:
-                triples = cached_prefix.python_callpath
+            if not triples and top is not None:
+                triples = top.python_callpath
             return python_frames_from_triples(triples)
         # Backward / detached thread: graft the forward operator's Python path.
         if forward_record is not None:
@@ -229,19 +225,17 @@ class CallPathBuilder:
 
     def _integrate_native(self, thread: ThreadContext, shadow_stack: ShadowStack,
                           python_part: List[Frame], framework_part: List[Frame],
-                          cached_prefix: Optional[CachedPrefix],
+                          stop_pc: Optional[int],
                           include_operators: bool = True) -> List[Frame]:
         """Merge native frames with the Python and framework parts.
 
-        The native stack is unwound bottom-up (``unw_step``-style).  When call-
-        path caching is active the unwind stops as soon as the cached
-        operator's dispatch frame is reached; the cached prefix stands in for
-        everything above it.
+        The native stack is unwound bottom-up (``unw_step``-style) up to the
+        libpython boundary, or to ``stop_pc`` — the top operator's dispatch
+        frame — when it comes first: that operator's shadow entry stands in
+        for everything above it.
         """
         cursor = self.unwinder.cursor(thread.native_stack)
         collected: List[Tuple[NativeFrame, Optional[Frame]]] = []
-        stop_pc = cached_prefix.dispatch_pc if cached_prefix is not None else None
-        reached_python_boundary = False
 
         for frame in cursor:
             operator_frame: Optional[Frame] = None
@@ -252,7 +246,6 @@ class CallPathBuilder:
             if self.auditor.is_python_frame_pc(frame.pc):
                 # Everything above this point is the interpreter: it is
                 # represented by the Python call path instead.
-                reached_python_boundary = True
                 break
             collected.append((frame, operator_frame))
             if stop_pc is not None and frame.pc == stop_pc:
@@ -278,8 +271,5 @@ class CallPathBuilder:
         for frame in framework_part:
             if frame.tag != "scope" and frame.identity() not in inserted_ops:
                 merged.append(frame)
-        if not reached_python_boundary and not python_part:
-            # Pure native thread with no Python context at all: nothing to graft.
-            pass
         merged.extend(native_top_down)
         return merged

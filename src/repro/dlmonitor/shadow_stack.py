@@ -5,7 +5,9 @@ operators currently executing, together with the *memory location* of the
 operator's dispatch frame (here: the program counter of the native frame the
 framework pushed when entering the operator).  Call-path integration walks the
 native stack bottom-up and matches these addresses to decide where to insert
-operator frames.
+operator frames.  The top entry is the operator currently executing: call
+paths built inside it reuse its Python path and stop unwinding at its
+dispatch frame (see :mod:`repro.dlmonitor.cache`).
 """
 
 from __future__ import annotations
@@ -28,8 +30,9 @@ class ShadowEntry:
     #: Python call path captured when the operator was entered (user frames).
     python_callpath: Tuple[PyFrame, ...] = ()
     scope: Tuple[str, ...] = ()
-    #: Interned id of this operator context (see :mod:`repro.dlmonitor.cache`);
-    #: ``None`` when the call-path cache is off.
+    #: Interned id of this operator context (see :mod:`repro.dlmonitor.cache`),
+    #: assigned by DLMonitor on entry; paths built under an entry without one
+    #: (built by hand) are never cached.
     context_id: Optional[int] = None
 
 

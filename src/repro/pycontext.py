@@ -85,9 +85,3 @@ def clear_path_intern() -> None:
     _USER_FILES.clear()
     _TRIPLES.clear()
     _PATHS.clear()
-
-
-def format_frame(frame: PyFrame) -> str:
-    """Human-readable ``function (file:line)`` rendering of a frame triple."""
-    filename, line, function = frame
-    return f"{function} ({os.path.basename(filename)}:{line})"

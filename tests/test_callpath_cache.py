@@ -3,22 +3,27 @@
 A profiled session whose builder returns cached paths must save the same
 ``cct-binary-v1`` bytes and the same DLMonitor statistics as a session whose
 builder assembles every path from scratch — on every workload, in eager and
-JIT mode, with native collection on and off.  The cache itself is bounded by
-distinct contexts (a repeated iteration adds nothing) and dies with the
-session; the trees' leaf cursors never walk a cached path twice.
+JIT mode, with native collection on and off.  Reusing the top shadow entry's
+Python path and stopping the unwind at its dispatch frame gives the same
+trees as capturing Python on every request and unwinding to libpython.  The
+cache itself is bounded by distinct contexts (a repeated iteration adds
+nothing) and dies with the session; the trees' leaf cursors never walk a
+cached path twice.
 """
 
 import pytest
 
 from repro.core import DeepContextProfiler, ProfilerConfig
+from repro.core import metrics as M
 from repro.core.cct import CCTNode, CallingContextTree
 from repro.dlmonitor import api as dlmonitor_api
 from repro.dlmonitor.callpath import (CallPath, clear_frame_intern, framework_frame,
                                       python_frame, root_frame)
-from repro.dlmonitor.integration import CallPathBuilder
+from repro.dlmonitor.integration import CallPathBuilder, CallPathSources
 from repro.experiments.runner import (MODE_EAGER, MODE_JIT, PROFILER_DEEPCONTEXT,
                                       PROFILER_DEEPCONTEXT_NATIVE, run_named_workload)
 from repro.framework import EagerEngine, modules, tensor
+from repro.framework.threads import THREAD_BACKWARD
 from repro import pycontext
 from repro.workloads import create_workload
 from repro.workloads.registry import workload_names
@@ -38,10 +43,48 @@ class FromScratchBuilder(RecordingBuilder):
     """Assembles every call path, never consulting the call-path cache."""
 
     def build(self, thread, shadow_stack, python_triples, sources, gpu_leaf=None,
-              cached_prefix=None, forward_record=None):
+              forward_record=None):
         self.paths_built += 1
         return self._assemble(thread, shadow_stack, python_triples, sources, gpu_leaf,
-                              cached_prefix, forward_record)
+                              forward_record)
+
+
+class UnwindToPythonBuilder(CallPathBuilder):
+    """Unwinds every native stack to the libpython boundary, with no stop frame."""
+
+    def _integrate_native(self, thread, shadow_stack, python_part, framework_part,
+                          stop_pc, include_operators=True):
+        return super()._integrate_native(thread, shadow_stack, python_part,
+                                         framework_part, None, include_operators)
+
+
+class CacheFreeMonitor(dlmonitor_api.DLMonitor):
+    """A monitor without the call-path cache: it captures Python on every
+    request and builds every path from scratch, unwinding to libpython."""
+
+    instances = []
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.builder = UnwindToPythonBuilder(self.auditor, self.unwinder, self.program_name)
+        self.instances.append(self)
+
+    def callpath_get(self, sources=None, thread=None):
+        sources = sources if sources is not None else CallPathSources.all()
+        thread = thread if thread is not None else self.engine.threads.current
+        stack = self.shadow_stacks.for_thread(thread.tid)
+        python_triples = ()
+        if sources.python and thread.has_python_context:
+            python_triples = pycontext.capture_user_frames(skip=2)
+            self.stats.python_captures += 1
+        top = stack.top()
+        forward_record = None
+        if thread.kind == THREAD_BACKWARD and top is not None:
+            forward_record = self.associator.lookup(top.sequence_id)
+        gpu_leaf = self._gpu_leaf.get(thread.tid) if sources.gpu else None
+        self.stats.callpaths_built += 1
+        return self.builder.build(thread, stack, python_triples, sources,
+                                  gpu_leaf=gpu_leaf, forward_record=forward_record)
 
 
 def _saved_session(name, mode, profiler, builder, path, monkeypatch):
@@ -98,16 +141,34 @@ def test_repeated_iteration_adds_no_cache_entries_and_finalize_empties_it():
     assert cache.size == 0
 
 
-def test_cache_off_stores_nothing():
-    engine = EagerEngine("a100")
-    profiler = DeepContextProfiler(engine, ProfilerConfig(callpath_cache=False))
-    with engine, profiler.profile():
-        layer = modules.Conv2d(3, 8, name="conv")
-        for _ in range(2):
-            layer(tensor((1, 3, 16, 16)))
-    cache = profiler.monitor.cache
-    assert profiler.monitor.builder.cache is None
-    assert cache.path_hits == cache.path_misses == 0
+def _profiled_tree(name, profiler, monitor, monkeypatch):
+    """Profile two eager iterations under ``monitor``: per call path, the
+    exclusive GPU time and kernel count, and the DLMonitor statistics."""
+    monkeypatch.setattr(dlmonitor_api, "DLMonitor", monitor)
+    database = run_named_workload(name, mode=MODE_EAGER, profiler=profiler,
+                                  iterations=2).database
+    paths = {}
+    for node in database.tree.nodes():
+        key = tuple(step.frame.identity() for step in node.path_from_root())
+        paths[key] = (node.metric(M.METRIC_GPU_TIME, inclusive=False),
+                      node.metric(M.METRIC_KERNEL_COUNT, inclusive=False))
+    return paths, database.dlmonitor_stats
+
+
+@pytest.mark.parametrize("profiler", [PROFILER_DEEPCONTEXT_NATIVE, PROFILER_DEEPCONTEXT])
+@pytest.mark.parametrize("name", workload_names())
+def test_equals_the_cache_free_reference(name, profiler, monkeypatch):
+    CacheFreeMonitor.instances.clear()
+    production = dlmonitor_api.DLMonitor
+    # Both sessions run from the same source line: captured Python paths
+    # include the test's own frames.
+    (paths, stats), (reference, reference_stats) = [
+        _profiled_tree(name, profiler, monitor, monkeypatch)
+        for monitor in (production, CacheFreeMonitor)]
+    assert len(CacheFreeMonitor.instances) == 1
+    assert paths == reference
+    assert stats["callpaths_built"] == reference_stats["callpaths_built"]
+    assert stats["python_captures"] < reference_stats["python_captures"]
 
 
 def test_profiler_builds_no_framework_events(monkeypatch):

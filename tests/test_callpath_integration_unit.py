@@ -3,8 +3,9 @@
 The end-to-end behaviour is covered in ``test_dlmonitor.py``; these tests
 construct thread states by hand to pin down the individual integration rules:
 the libpython boundary, operator insertion under the matching native frame,
-the cached-prefix early stop, backward-thread grafting, source selection and
-the cached paths of repeated operator contexts.
+the early stop at the top operator's dispatch frame, backward-thread
+grafting, source selection and the cached paths of repeated operator
+contexts.
 """
 
 import pytest
@@ -12,7 +13,7 @@ import pytest
 from repro.cpu.clock import MachineClock
 from repro.dlmonitor.association import ForwardRecord
 from repro.dlmonitor.audit import LibraryAuditor
-from repro.dlmonitor.cache import CachedPrefix, CallPathCache
+from repro.dlmonitor.cache import CallPathCache
 from repro.dlmonitor.callpath import FrameKind
 from repro.dlmonitor.integration import CallPathBuilder, CallPathSources, GpuLeafContext
 from repro.dlmonitor.shadow_stack import ShadowEntry, ShadowStack
@@ -50,6 +51,18 @@ def _shadow_for(thread, op_name="aten::conv2d", backward=False, sequence_id=1):
 
 
 PYTHON_TRIPLES = (("train.py", 7, "train_step"), ("model.py", 42, "forward"))
+
+
+def _nested_shadow(thread):
+    """``aten::conv2d`` (id 0) with ``aten::cudnn_convolution`` (id 1) inside it."""
+    frames = thread.native_stack.frames
+    stack = ShadowStack()
+    for context_id, (op_name, dispatch) in enumerate((
+            ("aten::conv2d", frames[2]), ("aten::cudnn_convolution", frames[3]))):
+        stack.push(ShadowEntry(op_name=op_name, is_backward=False, sequence_id=context_id,
+                               dispatch_pc=dispatch.pc, python_callpath=PYTHON_TRIPLES,
+                               scope=("net", "conv1"), context_id=context_id))
+    return stack
 
 
 class TestIntegrationRules:
@@ -112,29 +125,29 @@ class TestIntegrationRules:
         assert not path.has_kind(FrameKind.GPU_KERNEL)
 
     def test_cached_prefix_supplies_python_frames(self, setup):
+        """The top shadow entry's Python path stands in for a fresh capture."""
         _space, thread, builder = setup
-        shadow = _shadow_for(thread)
-        cached = CachedPrefix(op_name="aten::conv2d",
-                              dispatch_pc=shadow.top().dispatch_pc,
-                              python_callpath=PYTHON_TRIPLES, scope=("net",))
-        path = builder.build(thread, shadow, (), CallPathSources.all(), cached_prefix=cached)
+        shadow = ShadowStack()
+        shadow.push(ShadowEntry(op_name="aten::conv2d", is_backward=False, sequence_id=1,
+                                dispatch_pc=thread.native_stack.frames[2].pc,
+                                python_callpath=PYTHON_TRIPLES, scope=("net",)))
+        path = builder.build(thread, shadow, (), CallPathSources.all())
         python_files = [frame.file for frame in path.frames_of_kind(FrameKind.PYTHON)]
         assert python_files == ["train.py", "model.py"]
 
     def test_cached_prefix_stops_unwinding_early(self, setup):
+        """The unwind stops at the top operator's dispatch frame."""
         space, thread, builder = setup
-        shadow = _shadow_for(thread)
-        cached = CachedPrefix(op_name="aten::conv2d",
-                              dispatch_pc=shadow.top().dispatch_pc,
-                              python_callpath=PYTHON_TRIPLES, scope=())
-        steps_before = builder.unwinder.steps
-        builder.build(thread, shadow, (), CallPathSources.all(), cached_prefix=cached)
-        cached_steps = builder.unwinder.steps - steps_before
+        shadow = _nested_shadow(thread)
+        builder.build(thread, shadow, PYTHON_TRIPLES, CallPathSources.all())
+        # cudaLaunchKernel, then at::native::cudnn_convolution: the inner
+        # operator's dispatch frame.
+        assert builder.unwinder.steps == 2
 
-        fresh_builder = CallPathBuilder(LibraryAuditor(space), Unwinder(space), "unit")
-        fresh_builder.build(thread, shadow, PYTHON_TRIPLES, CallPathSources.all())
-        uncached_steps = fresh_builder.unwinder.steps
-        assert cached_steps <= uncached_steps
+        unwind_to_python = CallPathBuilder(LibraryAuditor(space), Unwinder(space), "unit")
+        unwind_to_python._integrate_native(thread, shadow, [], [], None)
+        # On to at::_ops::conv2d::call and the libpython frame that ends it.
+        assert unwind_to_python.unwinder.steps == 4
 
     def test_backward_thread_grafts_forward_record(self, setup):
         space, _main, builder = setup
@@ -184,42 +197,24 @@ def _scratch_builder(space):
     return CallPathBuilder(LibraryAuditor(space), Unwinder(space), "unit")
 
 
-def _prefix_of(entry):
-    return CachedPrefix(op_name=entry.op_name, dispatch_pc=entry.dispatch_pc,
-                        python_callpath=entry.python_callpath, scope=entry.scope,
-                        is_backward=entry.is_backward, sequence_id=entry.sequence_id,
-                        context_id=entry.context_id)
-
-
 class TestCachedPaths:
     """Paths built inside an operator context come from the call-path cache."""
 
-    def _nested_shadow(self, thread):
-        """``aten::conv2d`` (id 0) with ``aten::cudnn_convolution`` (id 1) inside it."""
-        frames = thread.native_stack.frames
-        stack = ShadowStack()
-        for context_id, (op_name, dispatch) in enumerate((
-                ("aten::conv2d", frames[2]), ("aten::cudnn_convolution", frames[3]))):
-            stack.push(ShadowEntry(op_name=op_name, is_backward=False, sequence_id=context_id,
-                                   dispatch_pc=dispatch.pc, python_callpath=PYTHON_TRIPLES,
-                                   scope=("net", "conv1"), context_id=context_id))
-        return stack
-
-    def _build(self, builder, thread, shadow, prefix, **kwargs):
+    def _build(self, builder, thread, shadow, **kwargs):
         before = builder.unwinder.steps
-        path = builder.build(thread, shadow, prefix.python_callpath, CallPathSources.all(),
+        path = builder.build(thread, shadow, shadow.top().python_callpath,
+                             CallPathSources.all(),
                              gpu_leaf=GpuLeafContext("cudaLaunchKernel", "conv_kernel"),
-                             cached_prefix=prefix, **kwargs)
+                             **kwargs)
         return path, builder.unwinder.steps - before
 
     def test_nested_operator_hit_returns_the_first_path(self, setup):
         space, thread, builder = setup
-        shadow = self._nested_shadow(thread)
-        prefix = _prefix_of(shadow.top())
+        shadow = _nested_shadow(thread)
         cached = _cached_builder(space)
-        first, miss_steps = self._build(cached, thread, shadow, prefix)
-        again, hit_steps = self._build(cached, thread, shadow, prefix)
-        scratch, scratch_steps = self._build(_scratch_builder(space), thread, shadow, prefix)
+        first, miss_steps = self._build(cached, thread, shadow)
+        again, hit_steps = self._build(cached, thread, shadow)
+        scratch, scratch_steps = self._build(_scratch_builder(space), thread, shadow)
         assert again is first and first == scratch
         assert cached.cache.path_hits == 1 and cached.cache.path_misses == 1
         assert [frame.name for frame in first.frames_of_kind(FrameKind.FRAMEWORK)] == [
@@ -229,8 +224,7 @@ class TestCachedPaths:
 
     def test_hit_charges_the_steps_it_walked(self, setup, monkeypatch):
         space, thread, _builder = setup
-        shadow = self._nested_shadow(thread)
-        prefix = _prefix_of(shadow.top())
+        shadow = _nested_shadow(thread)
         cached = _cached_builder(space)
         charged = []
         original = Unwinder.charge
@@ -241,25 +235,26 @@ class TestCachedPaths:
 
         monkeypatch.setattr(Unwinder, "charge", recording)
         for _ in range(3):
-            self._build(cached, thread, shadow, prefix)
+            self._build(cached, thread, shadow)
         assert cached.cache.path_hits == 2
         # One charge per build, miss or hit, each the two frames walked.
         assert charged == [2, 2, 2] and cached.unwinder.steps == 6
 
-    def test_prefix_left_by_an_exited_inner_operator_keys_the_path(self, setup):
+    def test_outer_entry_keys_path_after_inner_exits(self, setup):
         space, thread, _builder = setup
-        shadow = self._nested_shadow(thread)
-        inner_prefix = _prefix_of(shadow.top())
-        shadow.pop()  # the inner operator exits; its prefix stays cached
+        shadow = _nested_shadow(thread)
         cached = _cached_builder(space)
-        stale, stale_steps = self._build(cached, thread, shadow, inner_prefix)
-        outer, outer_steps = self._build(cached, thread, shadow, _prefix_of(shadow.top()))
-        assert stale is not outer
-        for prefix, path, steps in ((inner_prefix, stale, stale_steps),
-                                    (_prefix_of(shadow.top()), outer, outer_steps)):
-            scratch, scratch_steps = self._build(_scratch_builder(space), thread, shadow, prefix)
-            assert path == scratch and steps == scratch_steps
-            assert self._build(cached, thread, shadow, prefix) == (path, steps)
+        inner, inner_steps = self._build(cached, thread, shadow)
+        shadow.pop()  # the inner operator exits: the outer entry is on top again
+        outer, outer_steps = self._build(cached, thread, shadow)
+        assert outer is not inner and cached.cache.path_misses == 2
+        scratch, scratch_steps = self._build(_scratch_builder(space), thread, shadow)
+        assert outer == scratch and outer_steps == scratch_steps
+        # Launch site up to the outer dispatch frame: one frame more.
+        assert outer_steps == inner_steps + 1
+        assert [frame.name for frame in outer.frames_of_kind(FrameKind.FRAMEWORK)] == [
+            "net", "conv1", "aten::conv2d"]
+        assert self._build(cached, thread, shadow) == (outer, outer_steps)
 
     def test_backward_thread_hit_grafts_the_forward_record(self, setup):
         space, _main, _builder = setup
@@ -275,11 +270,10 @@ class TestCachedPaths:
         record = ForwardRecord(sequence_id=9, op_name="aten::index", thread_tid=1,
                                python_callpath=(("dlrm.py", 33, "forward"),),
                                scope=("table0",))
-        prefix = _prefix_of(shadow.top())
         cached = _cached_builder(space)
-        first, miss_steps = self._build(cached, backward, shadow, prefix, forward_record=record)
-        again, hit_steps = self._build(cached, backward, shadow, prefix, forward_record=record)
-        scratch, scratch_steps = self._build(_scratch_builder(space), backward, shadow, prefix,
+        first, miss_steps = self._build(cached, backward, shadow, forward_record=record)
+        again, hit_steps = self._build(cached, backward, shadow, forward_record=record)
+        scratch, scratch_steps = self._build(_scratch_builder(space), backward, shadow,
                                              forward_record=record)
         assert again is first and first == scratch
         assert [frame.file for frame in first.frames_of_kind(FrameKind.PYTHON)] == ["dlrm.py"]
@@ -288,10 +282,9 @@ class TestCachedPaths:
     def test_entries_without_context_ids_are_not_cached(self, setup):
         space, thread, _builder = setup
         shadow = _shadow_for(thread)
-        prefix = _prefix_of(shadow.top())
         cached = _cached_builder(space)
-        first, _ = self._build(cached, thread, shadow, prefix)
-        again, _ = self._build(cached, thread, shadow, prefix)
+        first, _ = self._build(cached, thread, shadow)
+        again, _ = self._build(cached, thread, shadow)
         assert again is not first and again == first
         assert first.cursor is None
         assert cached.cache.size == 0 and cached.cache.path_misses == 0

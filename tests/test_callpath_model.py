@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.dlmonitor import (
-    CachedPrefix,
     CallPath,
     CallPathCache,
     ForwardBackwardAssociator,
@@ -126,20 +125,24 @@ class TestShadowStack:
 
 
 class TestCallPathCache:
-    def test_hit_miss_and_invalidate(self):
+    def test_context_ids_are_interned(self):
         cache = CallPathCache()
-        assert cache.lookup(1) is None
-        cache.store(1, CachedPrefix("aten::relu", 0x10, (), ()))
-        assert cache.lookup(1).op_name == "aten::relu"
-        cache.invalidate(1)
-        assert cache.lookup(1) is None
-        assert cache.hits == 1 and cache.misses == 2 and cache.invalidations == 1
-        assert 0 < cache.hit_rate < 1
+        first = cache.context_id((1, None, "aten::relu"))
+        assert cache.context_id((1, first, "aten::add")) == first + 1
+        assert cache.context_id((1, None, "aten::relu")) == first
+        assert cache.size == 2
 
-    def test_peek_does_not_affect_stats(self):
+    def test_cached_paths_count_hits_and_misses_and_clear(self):
         cache = CallPathCache()
-        cache.peek(5)
-        assert cache.misses == 0
+        path = CallPath.of([framework_frame("aten::relu")])
+        assert cache.cached_path("key") is None
+        assert cache.store_path("key", path) is path
+        assert cache.cached_path("key") == path
+        assert cache.path_hits == 1 and cache.path_misses == 1
+        # Request counts belong to DLMonitor.callpath_get, not to lookups.
+        assert cache.hits == cache.misses == 0
+        cache.clear()
+        assert cache.size == 0 and cache.cached_path("key") is None
 
 
 class TestForwardBackwardAssociator:

@@ -68,8 +68,8 @@ class TestRunner:
             result.database.total_gpu_time(), rel=1e-9)
         assert reloaded.top_kernels(3) == result.database.top_kernels(3)
         # The run's profiler-config snapshot rode along in the meta block.
-        assert reloaded.metadata.config["sharded_cct"] == \
-            result.database.metadata.config["sharded_cct"]
+        assert reloaded.metadata.config["collect_native"] == \
+            result.database.metadata.config["collect_native"]
 
     def test_profile_path_without_deepcontext_is_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="profile_path requires"):

@@ -330,6 +330,17 @@ class TestShardedPersistence:
                                                           rel=1e-9)
 
 
+class SingleTree(CallingContextTree):
+    """One shared tree standing in for the profiler's sharded tree: every
+    thread's shard is the tree itself."""
+
+    def shard_for(self, thread):
+        return self
+
+    def shard_for_tid(self, tid, thread_name="", thread_kind=""):
+        return self
+
+
 def _run_training(engine, profiler, iterations=2):
     with engine, profiler.profile():
         model = modules.Sequential(modules.Conv2d(3, 8), modules.ReLU(), name="net")
@@ -366,16 +377,16 @@ class TestShardedProfiling:
 
     def test_sharded_equals_unsharded_end_to_end(self):
         sharded_engine = EagerEngine("a100")
-        sharded = DeepContextProfiler(
-            sharded_engine, ProfilerConfig(program_name="eq", sharded_cct=True))
+        sharded = DeepContextProfiler(sharded_engine, ProfilerConfig(program_name="eq"))
         sharded_db = _run_training(sharded_engine, sharded)
 
         plain_engine = EagerEngine("a100")
-        plain = DeepContextProfiler(
-            plain_engine, ProfilerConfig(program_name="eq", sharded_cct=False))
+        plain = DeepContextProfiler(plain_engine, ProfilerConfig(program_name="eq"))
+        plain.tree = SingleTree("eq")
         plain_db = _run_training(plain_engine, plain)
 
-        assert isinstance(plain_db.tree, CallingContextTree)
+        assert isinstance(sharded_db.tree, ShardedCallingContextTree)
+        assert isinstance(plain_db.tree, SingleTree)
         assert sharded_db.node_count() == plain_db.node_count()
         assert sharded_db.total_gpu_time() == pytest.approx(plain_db.total_gpu_time(),
                                                             rel=1e-9)
